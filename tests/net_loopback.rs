@@ -12,8 +12,9 @@ use fedsz_fl::net::{
     global_checksum, run_worker, NetServer, ServeConfig, SocketTransport, WorkerConfig,
     WorkerReport,
 };
+use fedsz_fl::plan::StagePolicy;
 use fedsz_fl::transport::InMemoryTransport;
-use fedsz_fl::{Experiment, FlConfig};
+use fedsz_fl::{DpMechanism, DpPolicy, Experiment, FlConfig};
 use fedsz_net::{Message, NetError, Session};
 use std::thread;
 use std::time::Duration;
@@ -47,34 +48,56 @@ fn spawn_workers(
 
 #[test]
 fn flat_socket_run_is_bit_identical_to_in_memory() {
-    let config = quick_config();
+    // The default FedSZ uplink, a Top-K and a stochastic-quantizer
+    // `FUC1` family, and FedSZ under Gaussian DP: each per-client
+    // pipeline the engine runs must produce the same bits on a worker.
+    let dp = DpPolicy {
+        clip_norm: 1.0,
+        noise_multiplier: 0.01,
+        mechanism: DpMechanism::Gaussian,
+        seed: 7,
+    };
+    let cases: [(&str, Option<StagePolicy>, Option<DpPolicy>); 4] = [
+        ("lossy", None, None),
+        ("topk", Some(StagePolicy::TopK { ratio: 0.1, error_feedback: false }), None),
+        ("q8s", Some(StagePolicy::Quant { bits: 8, stochastic: true, error_feedback: false }), None),
+        ("lossy+dp", None, Some(dp)),
+    ];
+    for (name, uplink, dp) in cases {
+        let mut config = quick_config();
+        config.uplink = uplink;
+        config.dp = dp;
 
-    // Reference: the in-memory engine.
-    let mut reference = Experiment::new(config.clone());
-    reference.run();
-    let want = reference.global_state().to_bytes();
+        // Reference: the in-memory engine.
+        let mut reference = Experiment::new(config.clone());
+        reference.run();
+        let want = reference.global_state().to_bytes();
 
-    // Real sockets: one root, one worker thread per client.
-    let server = NetServer::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = server.local_addr().to_string();
-    let mut serve_config = ServeConfig::root(config.clone());
-    test_timeouts(&mut serve_config);
-    let root = thread::spawn(move || server.run(serve_config));
-    let workers = spawn_workers(&config, 0..config.clients, addr);
+        // Real sockets: one root, one worker thread per client.
+        let server = NetServer::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = server.local_addr().to_string();
+        let mut serve_config = ServeConfig::root(config.clone());
+        test_timeouts(&mut serve_config);
+        let root = thread::spawn(move || server.run(serve_config));
+        let workers = spawn_workers(&config, 0..config.clients, addr);
 
-    let report = root.join().expect("root thread").expect("serve succeeds");
-    for w in workers {
-        let r = w.join().expect("worker thread").expect("worker succeeds");
-        assert_eq!(r.rounds, config.rounds, "worker must train every round");
-        assert!(r.compressed_rounds == config.rounds, "default config compresses every round");
+        let report = root.join().expect("root thread").expect("serve succeeds");
+        for w in workers {
+            let r = w.join().expect("worker thread").expect("worker succeeds");
+            assert_eq!(r.rounds, config.rounds, "{name}: worker must train every round");
+            assert_eq!(r.compressed_rounds, config.rounds, "{name}: every round compresses");
+        }
+        let got = report.global.as_ref().expect("root holds the global").to_bytes();
+        assert_eq!(got, want, "{name}: socket run diverged from the in-memory engine");
+        assert_eq!(report.checksum, global_checksum(reference.global_state()), "{name}");
+        assert_eq!(report.rounds.len(), config.rounds, "{name}");
+        assert_eq!(report.evicted, 0, "{name}");
+        assert!(report.rounds.iter().all(|r| r.merged == config.clients), "{name}");
+        assert!(
+            report.rounds.iter().all(|r| r.upstream_bytes > 0 && r.downstream_bytes > 0),
+            "{name}"
+        );
     }
-    let got = report.global.as_ref().expect("root holds the global").to_bytes();
-    assert_eq!(got, want, "socket run diverged from the in-memory engine");
-    assert_eq!(report.checksum, global_checksum(reference.global_state()));
-    assert_eq!(report.rounds.len(), config.rounds);
-    assert_eq!(report.evicted, 0);
-    assert!(report.rounds.iter().all(|r| r.merged == config.clients));
-    assert!(report.rounds.iter().all(|r| r.upstream_bytes > 0 && r.downstream_bytes > 0));
 }
 
 #[test]
