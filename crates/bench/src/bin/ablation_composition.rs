@@ -2,15 +2,15 @@
 //! quantization (the paper's Section III-C composition argument).
 //!
 //! Trains one FL round, then compares the wire size of the client update
-//! under: raw; FedSZ alone; top-k alone; top-k + FedSZ; QSGD alone;
-//! QSGD + FedSZ. "Alone" baselines are serialized with the state-dict
-//! wire format (sparsity/quantization by themselves don't shrink dense
-//! float arrays — which is exactly why a byte-level last step helps).
+//! under: raw; FedSZ alone; FedSZ on the delta; the Top-K and quantized
+//! `FUC1` delta streams the uplink ships; and FedSZ applied to the
+//! update those streams reconstruct (sparsified or quantized delta on
+//! top of the global).
 
 use fedsz::FedSz;
 use fedsz_bench::{print_table, Args};
 use fedsz_data::DatasetKind;
-use fedsz_fl::baselines::{qsgd_quantize, top_k_sparsify};
+use fedsz_fl::codec::FamilyCodec;
 use fedsz_fl::{Experiment, FlConfig};
 use fedsz_nn::models::tiny::TinyArch;
 use fedsz_nn::StateDict;
@@ -18,8 +18,7 @@ use fedsz_nn::StateDict;
 fn main() {
     let args = Args::parse();
     let fraction: f64 = args.get("--topk", 0.05);
-    let levels: u32 = args.get("--levels", 8);
-    let threshold = FlConfig::tiny_model_compression().threshold;
+    let bits: u8 = args.get("--bits", 8);
 
     // One trained client update and the global model it started from.
     let mut config = FlConfig::paper_default(TinyArch::AlexNet, DatasetKind::Cifar10Like);
@@ -33,58 +32,33 @@ fn main() {
     let fedsz = FedSz::new(FlConfig::tiny_model_compression());
     let raw = update.byte_size();
     let size = |dict: &StateDict| fedsz.compress(dict).unwrap().bytes().len();
-
-    let sparse = top_k_sparsify(&update, &global, fraction, threshold);
-    let quant = qsgd_quantize(&update, &global, levels, threshold, 9);
     let delta_size = |dict: &StateDict| fedsz.compress_delta(dict, &global).unwrap().bytes().len();
+    // A family codec's stream size and the update it reconstructs.
+    let family = |codec: FamilyCodec| {
+        let stream = codec.encode_delta(&update, &global, None, 9).expect("finite update");
+        let decoded = FamilyCodec::decode_delta(&stream, &global).expect("own stream");
+        (stream.len(), decoded)
+    };
+    let (sparse_stream, sparse) = family(FamilyCodec::top_k(fraction).expect("--topk in (0, 1]"));
+    let (quant_stream, quant) = family(FamilyCodec::quant(bits, true).expect("--bits 4 or 8"));
 
+    let row = |name: String, bytes: usize| {
+        vec![name, format!("{bytes}"), format!("{:.2}", raw as f64 / bytes as f64)]
+    };
+    let topk = format!("top-{:.0}%", fraction * 100.0);
+    let q = format!("q{bits}s");
     let rows = vec![
-        vec!["raw update".into(), format!("{raw}"), "1.00".into()],
-        vec![
-            "FedSZ delta (vs global)".into(),
-            format!("{}", delta_size(&update)),
-            format!("{:.2}", raw as f64 / delta_size(&update) as f64),
-        ],
-        vec![
-            format!("top-{:.0}% + FedSZ delta", fraction * 100.0),
-            format!("{}", delta_size(&sparse)),
-            format!("{:.2}", raw as f64 / delta_size(&sparse) as f64),
-        ],
-        vec![
-            "FedSZ alone".into(),
-            format!("{}", size(&update)),
-            format!("{:.2}", raw as f64 / size(&update) as f64),
-        ],
-        vec![
-            format!("top-{:.0}% alone (dense bytes)", fraction * 100.0),
-            format!("{}", sparse.to_bytes().len()),
-            format!("{:.2}", raw as f64 / sparse.to_bytes().len() as f64),
-        ],
-        vec![
-            format!("top-{:.0}% + FedSZ", fraction * 100.0),
-            format!("{}", size(&sparse)),
-            format!("{:.2}", raw as f64 / size(&sparse) as f64),
-        ],
-        vec![
-            format!("QSGD-{levels} alone (dense bytes)"),
-            format!("{}", quant.to_bytes().len()),
-            format!("{:.2}", raw as f64 / quant.to_bytes().len() as f64),
-        ],
-        vec![
-            format!("QSGD-{levels} + FedSZ"),
-            format!("{}", size(&quant)),
-            format!("{:.2}", raw as f64 / size(&quant) as f64),
-        ],
+        row("raw update".into(), raw),
+        row("FedSZ alone".into(), size(&update)),
+        row("FedSZ delta (vs global)".into(), delta_size(&update)),
+        row(format!("{topk} FUC1 stream"), sparse_stream),
+        row(format!("{topk} + FedSZ delta"), delta_size(&sparse)),
+        row(format!("{q} FUC1 stream"), quant_stream),
+        row(format!("{q} + FedSZ delta"), delta_size(&quant)),
     ];
     print_table(
         "Ablation: composing FedSZ with sparsification/quantization",
         &["Pipeline", "Bytes", "Ratio vs raw"],
         &rows,
     );
-    println!("\nFinding: FedSZ composes cleanly — it compresses transformed updates at");
-    println!("least as well as raw ones, while the transforms alone shrink nothing (a");
-    println!("dense float array is the same size no matter how many entries changed).");
-    println!("QSGD + FedSZ is the standout: few distinct levels make the prediction");
-    println!("residuals nearly constant. Top-k's win would grow with delta encoding");
-    println!("(compressing update - global instead of the update), a natural extension.");
 }

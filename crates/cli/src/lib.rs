@@ -134,8 +134,7 @@ stochastic), or auto (Eqn 1 prices lossy vs topk:0.01 vs q8 per link
 and picks the fastest, probing unmeasured families first). Appending
 +ef (topk:0.01+ef, q8+ef) adds per-client error feedback: mass the
 codec dropped re-enters the next round's delta. EF keeps state across
-rounds, so it is rejected with --policy buffered:K and by
-serve/worker. --threads N sets
+rounds, so it is rejected with --policy buffered:K. --threads N sets
 the tree's merge worker-pool width (default: host parallelism); it
 changes wall-clock only — any width produces identical bits.
 --dp-clip C turns on the differential-privacy stage: each client's
@@ -457,8 +456,8 @@ fn parse_arch(name: &str) -> Option<TinyArch> {
 /// `lossy`, `adaptive`, `topk:RATIO[+ef]`, `q4[s][+ef]`, `q8[s][+ef]`
 /// or `auto` (an [`StagePolicy::AutoFamily`] over lossy, `topk:0.01`
 /// and `q8`, priced per link with Eqn 1). `+ef` turns on per-client
-/// error feedback — legal only in the simulator, and rejected with a
-/// typed plan error under buffered aggregation or socket workers.
+/// error feedback, rejected with a typed plan error under buffered
+/// aggregation.
 fn parse_uplink(spec: &str, compression: Option<FedSzConfig>) -> Result<StagePolicy, String> {
     let lower = spec.to_ascii_lowercase();
     let (base, ef) = match lower.strip_suffix("+ef") {
@@ -1132,16 +1131,8 @@ fn worker(args: &[String]) -> Outcome {
         return Outcome::fail(e);
     }
     config.adaptive_compression = args.iter().any(|a| a == "--adaptive");
-    match config.plan() {
-        // A worker process cannot carry error-feedback residuals
-        // across reconnects, so stateful uplinks fail here — before
-        // any socket work — with the typed plan error.
-        Ok(plan) => {
-            if let Err(e) = plan.validate_for_workers() {
-                return Outcome::fail(format!("invalid configuration: {e}"));
-            }
-        }
-        Err(e) => return Outcome::fail(format!("invalid configuration: {e}")),
+    if let Err(e) = config.plan() {
+        return Outcome::fail(format!("invalid configuration: {e}"));
     }
     let Some(id_spec) = flag_value(args, "--id") else {
         return Outcome::fail("worker requires --id K (the client id to embody)".into());
@@ -1567,7 +1558,7 @@ mod tests {
     }
 
     #[test]
-    fn stateful_uplinks_are_rejected_where_state_cannot_live() {
+    fn stateful_uplinks_are_rejected_under_buffered_aggregation() {
         // EF + buffered aggregation: typed plan error through `fl`.
         let out = runv(&[
             "fl",
@@ -1582,10 +1573,6 @@ mod tests {
             "--policy",
             "buffered:1",
         ]);
-        assert_ne!(out.code, 0);
-        assert!(out.report.contains("error-feedback"), "{}", out.report);
-        // EF + a worker process: rejected before any socket work.
-        let out = runv(&["worker", "--id", "0", "--clients", "2", "--uplink", "q8+ef"]);
         assert_ne!(out.code, 0);
         assert!(out.report.contains("error-feedback"), "{}", out.report);
     }

@@ -36,7 +36,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod advisor;
 pub mod partition;
 pub mod timing;
 

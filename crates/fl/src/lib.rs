@@ -43,13 +43,13 @@
 #![warn(missing_docs)]
 
 pub mod agg;
-pub mod baselines;
 pub mod client;
 pub mod codec;
 pub mod engine;
 pub mod fedavg;
 pub mod link;
 pub mod net;
+mod pipeline;
 pub mod plan;
 pub mod protocol;
 pub mod scaling;

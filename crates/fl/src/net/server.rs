@@ -27,8 +27,8 @@
 //! placement — the bit-parity the integration tests pin down.
 
 use crate::agg::{template_matches, Downlink, PartialSum, ShardPlan};
-use crate::codec::FamilyCodec;
 use crate::net::global_checksum;
+use crate::pipeline::{decode_upload, UplinkCodecs};
 use crate::plan::{RoundPlan, StagePolicy};
 use crate::FlConfig;
 use fedsz::FedSz;
@@ -133,11 +133,6 @@ impl ServeConfig {
         let plan = self
             .fl
             .plan()
-            .map_err(|e| NetError::Protocol(format!("invalid configuration: {e}")))?;
-        // Error-feedback residuals cannot survive a worker reconnect,
-        // so the whole socket runtime rejects EF plans up front (the
-        // worker enforces the same rule on its side).
-        plan.validate_for_workers()
             .map_err(|e| NetError::Protocol(format!("invalid configuration: {e}")))?;
         if let Some(shards) = plan.shard_count() {
             if shards > plan.config.clients {
@@ -926,7 +921,7 @@ impl NetServer {
 
         // Root state. A relay never materializes the global — it
         // forwards the broadcast bytes verbatim.
-        let fedsz = plan.uplink.fedsz().map(FedSz::new);
+        let codecs = UplinkCodecs::new(&plan.uplink);
         let downlink = Downlink::from_policy(&plan.downlink)
             .map_err(|e| NetError::Protocol(format!("invalid configuration: {e}")))?;
         let psum_codec = PsumCodec::new();
@@ -941,13 +936,6 @@ impl NetServer {
             Role::Relay { .. } => None,
         };
 
-        // Whether the uplink policy can produce `FUC1` delta streams —
-        // those decode against the round's broadcast, which the server
-        // must then re-decode from its own frame bytes each round.
-        let family_uplink = matches!(
-            plan.uplink,
-            StagePolicy::TopK { .. } | StagePolicy::Quant { .. } | StagePolicy::AutoFamily { .. }
-        );
         let mut rounds = Vec::new();
         let mut psum_raw_frames = 0usize;
         let mut psum_compressed_frames = 0usize;
@@ -1002,7 +990,7 @@ impl NetServer {
             // the workers received, so the server re-decodes its own
             // frame bytes once per round — even under a lossy downlink
             // both sides then hold bit-identical reference dicts.
-            let uplink_reference: Option<StateDict> = if family_uplink {
+            let uplink_reference: Option<StateDict> = if codecs.emits_fuc1() {
                 Some(if compressed {
                     FedSz::decompress_with_config(&bytes)?.0
                 } else {
@@ -1062,7 +1050,7 @@ impl NetServer {
                     upload,
                     matches!(key, ChildKey::Relay(_)),
                     &template,
-                    fedsz.as_ref(),
+                    &codecs,
                     uplink_reference.as_ref(),
                     &psum_codec,
                     &mut partial,
@@ -1219,7 +1207,7 @@ fn fold_upload(
     upload: Upload,
     expect_partial: bool,
     template: &StateDict,
-    fedsz: Option<&FedSz>,
+    codecs: &UplinkCodecs,
     reference: Option<&StateDict>,
     psum_codec: &PsumCodec,
     partial: &mut PartialSum,
@@ -1238,20 +1226,8 @@ fn fold_upload(
             Err("expected a worker update, got a partial-sum frame".into())
         }
         Upload::Update { payload, compressed } => {
-            let dict = if compressed && FamilyCodec::is_family_stream(&payload) {
-                let reference = reference.ok_or_else(|| {
-                    "family-coded update but the uplink policy has no family codec".to_string()
-                })?;
-                FamilyCodec::decode_delta(&payload, reference)
-                    .map_err(|e| format!("undecodable update: {e}"))?
-            } else if compressed {
-                fedsz
-                    .ok_or_else(|| "compressed update but compression is off".to_string())?
-                    .decompress(&payload)
-                    .map_err(|e| format!("undecodable update: {e}"))?
-            } else {
-                StateDict::from_bytes(&payload).map_err(|e| format!("malformed update: {e}"))?
-            };
+            let dict = decode_upload(&payload, compressed, codecs, reference)
+                .map_err(|e| format!("undecodable update: {e}"))?;
             if !dict_compatible(template, &dict) {
                 return Err("update disagrees with the configured architecture".into());
             }
@@ -1299,6 +1275,10 @@ mod tests {
     use super::*;
     use fedsz_tensor::Tensor;
 
+    fn raw_uplink() -> UplinkCodecs {
+        UplinkCodecs::new(&StagePolicy::Raw)
+    }
+
     fn dict(entries: &[(&str, usize)]) -> StateDict {
         let mut out = StateDict::new();
         for (name, len) in entries {
@@ -1335,12 +1315,13 @@ mod tests {
         let template = dict(&[("a.weight", 4), ("b.weight", 2)]);
         let mut partial = PartialSum::new();
         let (mut raw, mut packed) = (0usize, 0usize);
+        let codecs = raw_uplink();
         let mut fold = |upload| {
             fold_upload(
                 upload,
                 false,
                 &template,
-                None,
+                &codecs,
                 None,
                 &PsumCodec::new(),
                 &mut partial,
@@ -1377,47 +1358,6 @@ mod tests {
     }
 
     #[test]
-    fn family_uploads_fold_against_the_broadcast_reference() {
-        let template = dict(&[("a.weight", 4), ("b.weight", 2)]);
-        let mut update = template.clone();
-        update.get_mut("a.weight").unwrap().data_mut().copy_from_slice(&[2.0, 0.5, 1.0, 1.5]);
-        let codec = FamilyCodec::top_k(1.0).unwrap();
-        let payload = codec.encode_delta(&update, &template, None, 0).unwrap();
-        let mut partial = PartialSum::new();
-        let (mut raw, mut packed) = (0usize, 0usize);
-        // Without a broadcast reference the frame must evict its
-        // sender, not panic or silently decode against garbage.
-        let out = fold_upload(
-            Upload::Update { payload: payload.clone(), compressed: true },
-            false,
-            &template,
-            None,
-            None,
-            &PsumCodec::new(),
-            &mut partial,
-            &mut raw,
-            &mut packed,
-        );
-        assert!(out.is_err(), "family frame without a reference must evict, got {out:?}");
-        // With the reference it folds exactly one contribution, and at
-        // keep-ratio 1.0 the delta round-trips bit-exactly.
-        let out = fold_upload(
-            Upload::Update { payload, compressed: true },
-            false,
-            &template,
-            None,
-            Some(&template),
-            &PsumCodec::new(),
-            &mut partial,
-            &mut raw,
-            &mut packed,
-        );
-        assert_eq!(out, Ok(1));
-        let folded = partial.finish().expect("one contribution");
-        assert_eq!(folded.get("a.weight").unwrap().data(), update.get("a.weight").unwrap().data());
-    }
-
-    #[test]
     fn mismatched_psum_frames_are_rejected_not_panicked() {
         let template = dict(&[("a.weight", 4)]);
         let mut other = PartialSum::new();
@@ -1429,7 +1369,7 @@ mod tests {
                 upload,
                 true,
                 &template,
-                None,
+                &raw_uplink(),
                 None,
                 &PsumCodec::new(),
                 partial,
@@ -1478,7 +1418,7 @@ mod tests {
                 Upload::Partial { payload, compressed: false },
                 true,
                 &template,
-                None,
+                &raw_uplink(),
                 None,
                 &PsumCodec::new(),
                 partial,

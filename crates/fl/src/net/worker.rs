@@ -22,22 +22,22 @@
 //! verbatim instead of training twice — which would silently advance
 //! the client's RNG and momentum and break bit-parity.
 //!
-//! The compress-or-not decision is the paper's Eqn 1, but fed by
-//! **measurements** instead of simulated
-//! [`LinkProfile`](crate::link::LinkProfile)s: the worker times its
-//! own frame sends to estimate the link bandwidth, times its own codec
-//! to maintain a [`CostProfile`], and prices each upload with the same
-//! `plan(bytes).worthwhile(bandwidth)` rule every simulated stage
-//! uses. Until measurements exist it compresses (which is how the
-//! first measurements are taken), exactly like the engine's adaptive
-//! path.
+//! Each round runs the same per-client step as the in-memory engine
+//! (`pipeline::ClientStep`: load, train, DP, codec choice, encode),
+//! error-feedback residual included: it lives in this process, which
+//! survives reconnects, and a resume resends the cached frame without
+//! re-encoding. The only difference is the Eqn-1 input: the worker
+//! prices uploads against its **measured** send bandwidth instead of a
+//! simulated [`LinkProfile`](crate::link::LinkProfile), and times one
+//! decode of each priced codec itself, since no server-side decode
+//! time reaches it.
 //!
 //! [`FlConfig::make_client`]: crate::FlConfig::make_client
 
-use crate::codec::{derive_dither_seed, uplink_codecs_for, FamilyCodec, UplinkCodecKind};
-use crate::plan::StagePolicy;
+use crate::pipeline::{
+    decode_upload, emit_dp_noise, emit_eqn1, ClientStep, LinkEstimate, UplinkCodecs,
+};
 use crate::{Client, FlConfig};
-use fedsz::timing::{select_family, CostProfile, FamilyCandidate};
 use fedsz::FedSz;
 use fedsz_net::{Backoff, Message, NetError, Session};
 use fedsz_telemetry::{Telemetry, Value};
@@ -70,7 +70,7 @@ pub struct WorkerConfig {
     pub drop_session_at_round: Option<u32>,
     /// Connect deadline, and how long to wait for each broadcast.
     pub timeout: Duration,
-    /// Join/round spans and this worker's measured-Eqn-1
+    /// Join/round spans and this worker's `dp.noise` and measured-Eqn-1
     /// `eqn1.decision` events land here. Disabled by default.
     pub telemetry: Telemetry,
 }
@@ -104,8 +104,8 @@ pub struct WorkerReport {
     pub uploaded_bytes: usize,
     /// Total framed bytes received (all sessions).
     pub downloaded_bytes: usize,
-    /// Rounds whose upload was FedSZ-compressed (under measured-Eqn-1
-    /// adaptive mode this can be fewer than `rounds`).
+    /// Rounds whose upload was codec-encoded rather than raw (under a
+    /// priced policy this can be fewer than `rounds`).
     pub compressed_rounds: usize,
     /// Sessions re-established after the first (reconnects to the
     /// primary and failovers to the fallback both count).
@@ -179,17 +179,11 @@ pub fn run_worker(config: WorkerConfig) -> Result<WorkerReport, NetError> {
     // the raw `compression`/`adaptive_compression` knobs.
     let plan =
         config.fl.plan().map_err(|e| NetError::Protocol(format!("invalid configuration: {e}")))?;
-    // Error-feedback residuals live on the client across rounds; a
-    // worker process cannot guarantee that continuity (crash/resume
-    // would silently drop carried mass), so EF plans are rejected here
-    // with the typed error rather than run wrong.
-    plan.validate_for_workers()
-        .map_err(|e| NetError::Protocol(format!("invalid configuration: {e}")))?;
-    let uplink = plan.uplink.clone();
+    let mut codecs = UplinkCodecs::new(&plan.uplink);
     let mut client: Client = config.fl.build_client(config.id);
-    let fedsz = uplink.fedsz().map(FedSz::new);
-    let codecs = uplink_codecs_for(&uplink);
-    let mut family_profiles: Vec<Option<CostProfile>> = vec![None; codecs.len()];
+    // The error-feedback residual lives as long as the client: across
+    // rounds and across reconnects alike.
+    let mut residual = fedsz_nn::StateDict::new();
     // The id seeds the jitter: a whole shard orphaned at once retries
     // on decorrelated clocks instead of stampeding the fallback.
     let backoff = Backoff::new(config.backoff_base, config.backoff_cap, config.id as u64);
@@ -197,7 +191,6 @@ pub fn run_worker(config: WorkerConfig) -> Result<WorkerReport, NetError> {
     let mut fallback = config.fallback.clone();
 
     let mut link = MeasuredLink::default();
-    let mut profile: Option<CostProfile> = None;
     let mut cached: Option<CachedUpload> = None;
     let mut rounds = 0usize;
     let mut compressed_rounds = 0usize;
@@ -356,194 +349,53 @@ pub fn run_worker(config: WorkerConfig) -> Result<WorkerReport, NetError> {
                     ("client", Value::U64(config.id as u64)),
                 ],
             );
-            client
-                .load_global(&dict)
+            let step = ClientStep {
+                round: round as usize,
+                epochs: config.fl.local_epochs,
+                seed: config.fl.seed,
+                dp: plan.dp.as_ref(),
+                codecs: &codecs,
+            };
+            // Eqn 1 prices the upload against the measured bandwidth
+            // (`None` until a send was timed: the step then probes).
+            let estimate = LinkEstimate { bandwidth_bps: link.bps, compute_slowdown: 1.0 };
+            let upload = step
+                .run(&mut client, &dict, &mut residual, estimate)
                 .map_err(|e| NetError::Protocol(format!("global dict rejected: {e}")))?;
-            for _ in 0..config.fl.local_epochs {
-                client.train_epoch();
+            if let Some(dp) = &upload.dp {
+                emit_dp_noise(&config.telemetry, round as usize, config.id, dp);
             }
-            let mut update = client.update();
-            // The plan's DP stage, against the exact broadcast dict
-            // this worker decoded — the same clip/noise the in-memory
-            // engine applies to this client, so the noised update is
-            // bit-identical across runtimes (the noise seed is derived
-            // from (dp.seed, round, id), never process state).
-            if let Some(policy) = &plan.dp {
-                let outcome =
-                    crate::codec::apply_dp(&mut update, &dict, policy, round as usize, config.id);
-                config.telemetry.event(
-                    "dp.noise",
-                    &[
-                        ("round", Value::U64(u64::from(round))),
-                        ("client", Value::U64(config.id as u64)),
-                        ("pre_norm", Value::F64(outcome.pre_norm)),
-                        ("sigma", Value::F64(outcome.sigma)),
-                        ("clipped", Value::Bool(outcome.clipped)),
-                    ],
-                );
+            if let Some(idx) = upload.codec {
+                // The server-side decode cost is measured once per
+                // priced codec and carried by the EWMA afterwards.
+                let decompress_secs = if codecs.needs_decode_probe(idx) {
+                    let t0 = Instant::now();
+                    decode_upload(&upload.payload, true, &codecs, Some(&dict)).map_err(|e| {
+                        NetError::Protocol(format!("own upload does not decode: {e}"))
+                    })?;
+                    Some(t0.elapsed().as_secs_f64())
+                } else {
+                    None
+                };
+                codecs.observe(idx, &[upload.cost], decompress_secs);
             }
-            let update = update;
-            let raw_bytes = update.byte_size();
-
-            // The plan's upload policy on the measured link: `Lossy`
-            // always compresses; `Adaptive` runs Eqn 1 — compress iff
-            // measured codec time plus compressed transfer beats
-            // sending raw at the measured bandwidth, probing
-            // (compressing) until both measurements exist.
-            // `TopK`/`Quant` always ship their one family;
-            // `AutoFamily` prices every candidate against raw with the
-            // same measured bandwidth, probing unmeasured families in
-            // rotation (the engine's rule, measured inputs).
-            let (compress, family_choice, predicted) = match &uplink {
-                StagePolicy::Raw | StagePolicy::Lossless => (false, None, None),
-                StagePolicy::Lossy(_) => (true, None, None),
-                StagePolicy::Adaptive { .. } => match (profile, link.bps) {
-                    (Some(profile), Some(bps)) => {
-                        let plan = profile.plan(raw_bytes);
-                        (
-                            plan.worthwhile(bps),
-                            None,
-                            Some((plan.compressed_time(bps), plan.uncompressed_time(bps))),
-                        )
-                    }
-                    _ => (true, None, None),
-                },
-                StagePolicy::TopK { .. } | StagePolicy::Quant { .. } => (false, Some(0), None),
-                StagePolicy::AutoFamily { .. } => {
-                    let candidates: Vec<FamilyCandidate> = codecs
-                        .iter()
-                        .zip(&family_profiles)
-                        .map(|(&(name, _), profile)| FamilyCandidate {
-                            family: name,
-                            profile: *profile,
-                        })
-                        .collect();
-                    let hint =
-                        (round as usize).wrapping_mul(codecs.len().max(1)).wrapping_add(config.id);
-                    let sel = select_family(raw_bytes, link.bps, &candidates, hint);
-                    let predicted = match (sel.predicted_choice_secs, sel.predicted_raw_secs) {
-                        (Some(chosen), Some(raw)) => Some((chosen, raw)),
-                        _ => None,
-                    };
-                    (false, sel.choice, predicted)
-                }
-            };
-            let mut measured_codec_secs = 0.0f64;
-            let (payload, compressed) = if let Some(ci) = family_choice {
-                let t0 = Instant::now();
-                let packed = match &codecs[ci].1 {
-                    UplinkCodecKind::Fedsz(f) => {
-                        f.compress(&update).expect("finite weights").into_bytes()
-                    }
-                    UplinkCodecKind::Family(c) => {
-                        // The delta reference is the broadcast this
-                        // worker just decoded — the server decodes
-                        // against the same bytes, so the bases agree.
-                        // EF is rejected above, so no residual is
-                        // carried.
-                        let dither = derive_dither_seed(config.fl.seed, round as usize, config.id);
-                        c.encode_delta(&update, &dict, None, dither).expect("finite weights")
-                    }
-                };
-                let compress_secs = t0.elapsed().as_secs_f64();
-                measured_codec_secs = compress_secs;
-                let raw = raw_bytes.max(1) as f64;
-                // Like the adaptive path below: the server-side
-                // decompress cost is measured once per family and
-                // carried by the EWMA.
-                let decompress_secs_per_byte = match family_profiles[ci] {
-                    Some(prev) => prev.decompress_secs_per_byte,
-                    None => {
-                        let t1 = Instant::now();
-                        match &codecs[ci].1 {
-                            UplinkCodecKind::Fedsz(f) => {
-                                let _ = f.decompress(&packed)?;
-                            }
-                            UplinkCodecKind::Family(_) => {
-                                let _ = FamilyCodec::decode_delta(&packed, &dict)?;
-                            }
-                        }
-                        t1.elapsed().as_secs_f64() / raw
-                    }
-                };
-                family_profiles[ci] = Some(CostProfile::blend(
-                    family_profiles[ci],
-                    CostProfile {
-                        compress_secs_per_byte: compress_secs / raw,
-                        decompress_secs_per_byte,
-                        ratio: raw / packed.len().max(1) as f64,
-                    },
-                ));
-                (packed, true)
-            } else if compress {
-                let codec = fedsz.as_ref().expect("compress implies a codec");
-                let t0 = Instant::now();
-                let packed = codec.compress(&update).expect("finite weights").into_bytes();
-                let compress_secs = t0.elapsed().as_secs_f64();
-                measured_codec_secs = compress_secs;
-                if uplink.is_adaptive() {
-                    let raw = raw_bytes.max(1) as f64;
-                    // The decompression the server will pay is measured
-                    // on the first compressed round only — it is a
-                    // stable per-byte cost, and re-measuring it would
-                    // mean one redundant full decompress of every later
-                    // upload. The EWMA carries the sample forward.
-                    let decompress_secs_per_byte = match profile {
-                        Some(prev) => prev.decompress_secs_per_byte,
-                        None => {
-                            let t1 = Instant::now();
-                            let _ = codec.decompress(&packed)?;
-                            t1.elapsed().as_secs_f64() / raw
-                        }
-                    };
-                    profile = Some(CostProfile::blend(
-                        profile,
-                        CostProfile {
-                            compress_secs_per_byte: compress_secs / raw,
-                            decompress_secs_per_byte,
-                            ratio: raw / packed.len().max(1) as f64,
-                        },
-                    ));
-                }
-                (packed, true)
-            } else {
-                (update.to_bytes(), false)
-            };
-            let family_name = match family_choice {
-                Some(ci) => codecs[ci].0,
-                None if compressed => "lossy",
-                None => "raw",
-            };
-
-            // The measured twin of the engine's per-client uplink
-            // record: predictions exist only once both the codec
-            // profile and a bandwidth sample do (the probe rounds
-            // before that show `null` predictions in the trace, like
-            // the simulator's).
-            config.telemetry.event(
-                "eqn1.decision",
-                &[
-                    ("leg", Value::Str("uplink")),
-                    ("node", Value::U64(config.id as u64)),
-                    ("compressed", Value::Bool(compressed)),
-                    ("family", Value::Str(family_name)),
-                    (
-                        "predicted_compressed_secs",
-                        Value::F64(predicted.map_or(f64::NAN, |p: (f64, f64)| p.0)),
-                    ),
-                    ("predicted_raw_secs", Value::F64(predicted.map_or(f64::NAN, |p| p.1))),
-                    ("measured_codec_secs", Value::F64(measured_codec_secs)),
-                ],
-            );
+            // Predictions exist only once both the codec profile and a
+            // bandwidth sample do; probe rounds show `null`.
+            emit_eqn1(&config.telemetry, &upload.decision);
 
             // Cache the encoded frame *before* the send: a send that
             // dies mid-frame must leave the worker able to resend this
             // exact round on the resumed session, never retrain it.
-            let frame = Message::Update { round, client_id: config.id as u64, payload, compressed }
-                .encode();
+            let frame = Message::Update {
+                round,
+                client_id: config.id as u64,
+                payload: upload.payload,
+                compressed: upload.codec.is_some(),
+            }
+            .encode();
             cached = Some(CachedUpload { round, frame });
             rounds += 1;
-            if compressed {
+            if upload.codec.is_some() {
                 compressed_rounds += 1;
             }
             let frame = &cached.as_ref().expect("just cached").frame;

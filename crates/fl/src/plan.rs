@@ -62,18 +62,14 @@
 //! `TopK`/`Quant` with `error_feedback: true` keep a per-client
 //! residual dict: mass the codec dropped this round re-enters next
 //! round's delta (FedSparQ-style). That residual is *state the round
-//! loop must carry*, which two execution paths cannot do today:
-//!
-//! * **Buffered aggregation** applies updates asynchronously across
-//!   round boundaries, so a client's residual would be folded against
-//!   a reference model it never trained on —
-//!   [`PlanError::StatefulUplinkBuffered`].
-//! * **Socket workers** may disconnect and resume with a fresh
-//!   process, silently dropping the residual and the conserved mass
-//!   with it — [`RoundPlan::validate_for_workers`] returns
-//!   [`PlanError::StatefulUplinkWorker`].
-//!
-//! Both are typed rejections, the same pattern as lossy psum.
+//! loop must carry*. The engine keeps it per client, and a socket
+//! worker keeps it in its process, which outlives every reconnect (a
+//! resumed session resends the cached frame, never re-encodes).
+//! **Buffered aggregation** cannot carry it: it applies updates
+//! asynchronously across round boundaries, so a client's residual
+//! would be folded against a reference model it never trained on —
+//! [`PlanError::StatefulUplinkBuffered`], a typed rejection like lossy
+//! psum.
 //!
 //! # The DP stage is stateless, so it composes everywhere
 //!
@@ -85,8 +81,9 @@
 //! every uplink family, under buffered aggregation, and on socket
 //! workers. `plan()` rejects only malformed parameters
 //! ([`PlanError::BadDpClipNorm`], [`PlanError::BadDpNoiseMultiplier`]);
-//! DP combined with `+ef` still trips the error-feedback rejections
-//! above, because the residual — not the noise — is the stateful part.
+//! DP combined with `+ef` still trips the buffered-aggregation
+//! rejection above, because the residual — not the noise — is the
+//! stateful part.
 
 use crate::agg::{DownlinkMode, PsumMode, ShardPlan, TreePlan};
 use crate::engine::AggregationPolicy;
@@ -216,19 +213,6 @@ impl StagePolicy {
             | StagePolicy::TopK { .. }
             | StagePolicy::Quant { .. } => None,
         }
-    }
-
-    /// Whether this policy ever compresses (unconditionally or
-    /// adaptively).
-    pub fn compresses(&self) -> bool {
-        !matches!(self, StagePolicy::Raw)
-    }
-
-    /// Whether the compress-or-not decision is made per link with
-    /// Eqn 1 ([`StagePolicy::AutoFamily`] is the family-selection
-    /// generalization of the same pricing loop).
-    pub fn is_adaptive(&self) -> bool {
-        matches!(self, StagePolicy::Adaptive { .. } | StagePolicy::AutoFamily { .. })
     }
 
     /// Whether this policy carries a per-client error-feedback
@@ -433,10 +417,6 @@ pub enum PlanError {
     /// would be folded against a reference model the client never
     /// trained on.
     StatefulUplinkBuffered,
-    /// An error-feedback uplink on the socket runtime: a worker that
-    /// reconnects resumes with a fresh process and silently drops its
-    /// residual, breaking mass conservation.
-    StatefulUplinkWorker,
     /// A DP clip norm that is not a positive finite number.
     BadDpClipNorm(f64),
     /// A DP noise multiplier that is negative or non-finite (`0` is
@@ -528,12 +508,6 @@ impl fmt::Display for PlanError {
                  aggregation (the residual would be applied against a stale reference); \
                  use synchronous aggregation or drop `+ef`"
             ),
-            PlanError::StatefulUplinkWorker => write!(
-                f,
-                "error-feedback uplinks are stateful and cannot run on socket workers \
-                 (a reconnecting worker silently drops its residual); use the in-process \
-                 simulator or drop `+ef`"
-            ),
             PlanError::BadDpClipNorm(c) => {
                 write!(f, "DP clip norm must be finite and positive, got {c}")
             }
@@ -606,22 +580,6 @@ impl RoundPlan {
     /// or `None` for a flat server.
     pub fn tree_fanouts(&self) -> Option<&[usize]> {
         self.tree.as_ref().map(TreePlan::fanouts)
-    }
-
-    /// Checks the extra constraint the socket runtime adds on top of
-    /// [`FlConfig::plan`]: an error-feedback uplink cannot survive a
-    /// worker reconnect (the residual dies with the process), so
-    /// `fedsz serve`/`worker` reject it here before any round runs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlanError::StatefulUplinkWorker`] when the uplink
-    /// policy carries error feedback.
-    pub fn validate_for_workers(&self) -> Result<(), PlanError> {
-        if self.uplink.error_feedback() {
-            return Err(PlanError::StatefulUplinkWorker);
-        }
-        Ok(())
     }
 
     /// The client-id range a sharded root adopts when relay `shard`
@@ -1065,8 +1023,8 @@ mod tests {
 
     #[test]
     fn stage_policy_canonicalization_matches_the_legacy_knobs() {
-        // adaptive_compression with no codec canonicalizes to Raw (the
-        // engine's legacy should_compress returned false there).
+        // adaptive_compression with no codec canonicalizes to Raw:
+        // there is nothing to compress with.
         let mut config = base();
         config.compression = None;
         config.adaptive_compression = true;
@@ -1075,7 +1033,7 @@ mod tests {
         let mut config = base();
         config.adaptive_compression = true;
         let plan = config.plan().unwrap();
-        assert!(plan.uplink.is_adaptive());
+        assert!(matches!(plan.uplink, StagePolicy::Adaptive { .. }));
         assert_eq!(plan.uplink.fedsz(), config.compression);
 
         let mut config = base();
@@ -1234,7 +1192,6 @@ mod tests {
         config.uplink = Some(StagePolicy::TopK { ratio: 0.05, error_feedback: false });
         let plan = config.plan().unwrap();
         assert_eq!(plan.uplink, StagePolicy::TopK { ratio: 0.05, error_feedback: false });
-        assert!(plan.validate_for_workers().is_ok());
 
         // EF + buffered aggregation: the residual would fold against a
         // reference the client never trained on.
@@ -1243,12 +1200,11 @@ mod tests {
         config.aggregation = AggregationPolicy::Buffered { target: 2 };
         assert_eq!(config.plan().unwrap_err(), PlanError::StatefulUplinkBuffered);
 
-        // EF + socket workers: the residual dies with the process.
+        // EF + synchronous aggregation is legal on every runtime.
         let mut config = base();
         config.uplink =
             Some(StagePolicy::Quant { bits: 8, stochastic: true, error_feedback: true });
-        let plan = config.plan().expect("EF is legal in the simulator");
-        assert_eq!(plan.validate_for_workers().unwrap_err(), PlanError::StatefulUplinkWorker);
+        config.plan().expect("EF + synchronous aggregation is legal");
 
         // An invalid override surfaces through plan(), same as every
         // other knob.
@@ -1259,7 +1215,6 @@ mod tests {
 
         // And the new errors render actionable text.
         assert!(PlanError::StatefulUplinkBuffered.to_string().contains("error-feedback"));
-        assert!(PlanError::StatefulUplinkWorker.to_string().contains("error-feedback"));
         assert!(PlanError::BadTopKRatio { ratio: 0.0 }.to_string().contains("(0, 1]"));
         assert!(PlanError::BadQuantBits { bits: 3 }.to_string().contains("4 or 8"));
     }

@@ -87,6 +87,7 @@ fn architecture_names_real_modules() {
     let doc = read("ARCHITECTURE.md");
     for (token, path) in [
         ("engine::RoundEngine", "crates/fl/src/engine.rs"),
+        ("pipeline::ClientStep", "crates/fl/src/pipeline.rs"),
         ("transport::Transport", "crates/fl/src/transport.rs"),
         ("link::schedule", "crates/fl/src/link.rs"),
         ("agg::TreePlan", "crates/fl/src/agg/plan.rs"),

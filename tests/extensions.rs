@@ -1,16 +1,17 @@
 //! Integration tests for the reproduction's extension features:
-//! non-IID federated training, the Eqn 2 advisor, delta encoding, the
-//! Laplace mechanism, and baseline composition.
+//! non-IID federated training, Eqn 1 codec selection, delta encoding,
+//! the Laplace mechanism, and codec-family composition.
 
-use fedsz::advisor::Advisor;
-use fedsz::timing::mbps;
+use fedsz::timing::{mbps, select_family, CostProfile, FamilyCandidate};
 use fedsz::{ErrorBound, FedSz, FedSzConfig, LossyKind};
 use fedsz_data::DatasetKind;
 use fedsz_dp::{analyze_noise, equivalent_epsilon, error_vector, laplace_mechanism};
-use fedsz_fl::baselines::{qsgd_quantize, top_k_sparsify};
+use fedsz_fl::codec::FamilyCodec;
 use fedsz_fl::{Experiment, FlConfig};
 use fedsz_nn::models::specs::ModelSpec;
 use fedsz_nn::models::tiny::TinyArch;
+use fedsz_nn::StateDict;
+use std::time::Instant;
 
 #[test]
 fn non_iid_training_with_weighted_aggregation_learns() {
@@ -42,12 +43,30 @@ fn non_iid_shards_are_skewed_but_cover_all_data() {
 
 #[test]
 fn advisor_agrees_with_figure8_crossover() {
+    // SZ2 at REL 1e-2, profiled on a scaled AlexNet sample, priced by
+    // the uplink's Eqn-1 family selector for the full-size update.
     let spec = ModelSpec::alexnet();
     let sample = spec.instantiate_scaled(3, 0.02);
-    let advisor = Advisor::new(vec![LossyKind::Sz2], vec![ErrorBound::Relative(1e-2)]);
+    let config = FedSzConfig { lossy: LossyKind::Sz2, ..FedSzConfig::default() }
+        .with_error_bound(ErrorBound::Relative(1e-2));
+    let fedsz = FedSz::new(config);
+    let t0 = Instant::now();
+    let packed = fedsz.compress(&sample).unwrap();
+    let compress_secs = t0.elapsed().as_secs_f64();
+    let t1 = Instant::now();
+    fedsz.decompress(packed.bytes()).unwrap();
+    let decompress_secs = t1.elapsed().as_secs_f64();
+    let raw = sample.byte_size() as f64;
+    let profile = CostProfile {
+        compress_secs_per_byte: compress_secs / raw,
+        decompress_secs_per_byte: decompress_secs / raw,
+        ratio: raw / packed.bytes().len() as f64,
+    };
+    let candidates = [FamilyCandidate { family: "lossy", profile: Some(profile) }];
+    let pick = |bps: f64| select_family(spec.byte_size(), Some(bps), &candidates, 0);
     // Well below break-even: compress. Far above: send raw.
-    assert!(advisor.recommend(&sample, spec.byte_size(), mbps(10.0)).best.is_some());
-    assert!(advisor.recommend(&sample, spec.byte_size(), mbps(1e6)).best.is_none());
+    assert_eq!(pick(mbps(10.0)).choice, Some(0), "{profile:?}");
+    assert_eq!(pick(mbps(1e6)).choice, None, "{profile:?}");
 }
 
 #[test]
@@ -109,26 +128,39 @@ fn composed_baselines_preserve_metadata_and_shrink_wire_size() {
     let global = exp.global_state().clone();
     let _ = exp.run_round(0);
     let update = exp.global_state().clone();
-    let threshold = FlConfig::tiny_model_compression().threshold;
     let fedsz = FedSz::new(FlConfig::tiny_model_compression());
+    // The update a family codec's `FUC1` delta stream reconstructs.
+    let through = |codec: FamilyCodec| {
+        let stream = codec.encode_delta(&update, &global, None, 5).unwrap();
+        FamilyCodec::decode_delta(&stream, &global).unwrap()
+    };
+    let delta_size = |dict: &StateDict| fedsz.compress_delta(dict, &global).unwrap().bytes().len();
 
     let plain = fedsz.compress(&update).unwrap().bytes().len();
-    let sparse = top_k_sparsify(&update, &global, 0.05, threshold);
-    let sparse_delta = fedsz.compress_delta(&sparse, &global).unwrap().bytes().len();
+    let sparse = through(FamilyCodec::top_k(0.05).unwrap());
+    let sparse_delta = delta_size(&sparse);
     assert!(
         sparse_delta * 2 < plain,
         "top-k + delta ({sparse_delta}) should easily halve plain FedSZ ({plain})"
     );
 
-    let quant = qsgd_quantize(&update, &global, 8, threshold, 5);
-    let quant_size = fedsz.compress(&quant).unwrap().bytes().len();
-    assert!(quant_size < plain, "QSGD + FedSZ ({quant_size}) should beat plain ({plain})");
+    let quant = through(FamilyCodec::quant(4, true).unwrap());
+    let quant_delta = delta_size(&quant);
+    assert!(quant_delta < plain, "q4s + FedSZ delta ({quant_delta}) should beat plain ({plain})");
 
-    // Both transforms leave non-lossy tensors bit-exact.
-    for (name, tensor) in update.iter() {
-        if !fedsz::partition::is_lossy(name, tensor.len(), threshold) {
-            assert_eq!(sparse.get(name).unwrap(), tensor, "{name}");
-            assert_eq!(quant.get(name).unwrap(), tensor, "{name}");
+    // Both transforms keep every entry's name and shape, and FedSZ
+    // carries the composed updates' non-lossy tensors bit-exactly.
+    let threshold = FlConfig::tiny_model_compression().threshold;
+    for transformed in [&sparse, &quant] {
+        let names = |d: &StateDict| -> Vec<(String, Vec<usize>)> {
+            d.iter().map(|(n, t)| (n.to_owned(), t.shape().to_vec())).collect()
+        };
+        assert_eq!(names(transformed), names(&update));
+        let restored = fedsz.decompress(fedsz.compress(transformed).unwrap().bytes()).unwrap();
+        for (name, tensor) in transformed.iter() {
+            if !fedsz::partition::is_lossy(name, tensor.len(), threshold) {
+                assert_eq!(restored.get(name).unwrap(), tensor, "{name}");
+            }
         }
     }
 }

@@ -13,7 +13,8 @@
 //! net_churn_smoke.sh`) exercises the same paths with real process
 //! kills and asserts the Prometheus counters.
 
-use fedsz_fl::net::{run_worker, NetServer, ServeConfig, WorkerConfig};
+use fedsz_fl::net::{global_checksum, run_worker, NetServer, ServeConfig, WorkerConfig};
+use fedsz_fl::plan::StagePolicy;
 use fedsz_fl::{Experiment, FlConfig};
 use std::thread;
 use std::time::Duration;
@@ -91,6 +92,46 @@ fn dropped_worker_session_resumes_with_bit_parity() {
     assert!(report.rounds.iter().all(|r| r.merged == config.clients));
     // The rebind lands in the round it happened in, not smeared.
     assert_eq!(report.rounds.iter().map(|r| r.reconnects).sum::<usize>(), report.reconnects);
+}
+
+#[test]
+fn error_feedback_worker_resumes_with_bit_parity() {
+    // Top-K with error feedback keeps a per-client residual across
+    // rounds. It lives in the worker process, which survives its own
+    // session drop, and the resume resends the cached frame without
+    // re-encoding, so the residual advances exactly once per round,
+    // as in the engine.
+    let mut config = quick_config();
+    config.uplink = Some(StagePolicy::TopK { ratio: 0.1, error_feedback: true });
+
+    let mut reference = Experiment::new(config.clone());
+    reference.run();
+
+    let server = NetServer::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = server.local_addr().to_string();
+    let mut serve_config = ServeConfig::root(config.clone());
+    test_timeouts(&mut serve_config);
+    let root = thread::spawn(move || server.run(serve_config));
+
+    let workers: Vec<_> = (0..config.clients)
+        .map(|id| {
+            let drop_at = (id == 1).then_some(1u32);
+            let wc = churn_worker(&config, id, &addr, None, drop_at);
+            thread::spawn(move || run_worker(wc))
+        })
+        .collect();
+
+    let report = root.join().expect("root thread").expect("serve accepts EF uplinks");
+    let mut worker_reconnects = 0usize;
+    for w in workers {
+        let r = w.join().expect("worker thread").expect("EF worker survives its own drop");
+        assert_eq!(r.rounds, config.rounds, "every round trains exactly once");
+        worker_reconnects += r.reconnects;
+    }
+    assert_eq!(worker_reconnects, 1, "exactly the scripted drop reconnects");
+    assert_eq!(report.checksum, global_checksum(reference.global_state()));
+    assert_eq!(report.evicted, 0);
+    assert!(report.rounds.iter().all(|r| r.merged == config.clients));
 }
 
 #[test]

@@ -60,7 +60,11 @@ fn flat_socket_run_is_bit_identical_to_in_memory() {
     let cases: [(&str, Option<StagePolicy>, Option<DpPolicy>); 4] = [
         ("lossy", None, None),
         ("topk", Some(StagePolicy::TopK { ratio: 0.1, error_feedback: false }), None),
-        ("q8s", Some(StagePolicy::Quant { bits: 8, stochastic: true, error_feedback: false }), None),
+        (
+            "q8s",
+            Some(StagePolicy::Quant { bits: 8, stochastic: true, error_feedback: false }),
+            None,
+        ),
         ("lossy+dp", None, Some(dp)),
     ];
     for (name, uplink, dp) in cases {

@@ -510,18 +510,13 @@ fn dp_is_stateless_and_composes_everywhere() {
         mechanism: DpMechanism::Laplace,
         seed: 7,
     });
-    // Legal on socket workers (a reconnect loses no DP state)...
-    config.plan().unwrap().validate_for_workers().unwrap();
-    // ...and under buffered aggregation (no cross-round residual).
+    config.plan().unwrap();
+    // Legal under buffered aggregation (no cross-round residual)...
     config.aggregation = AggregationPolicy::Buffered { target: 1 };
     config.plan().unwrap();
-    // DP + error feedback still trips the EF rejections: the residual
-    // is the stateful part, not the noise.
-    config.aggregation = AggregationPolicy::Synchronous;
+    // ...but DP + error feedback still trips the EF rejection: the
+    // residual is the stateful part, not the noise.
     config.uplink = Some(StagePolicy::TopK { ratio: 0.1, error_feedback: true });
-    let err = config.plan().unwrap().validate_for_workers().unwrap_err();
-    assert_eq!(err, PlanError::StatefulUplinkWorker);
-    config.aggregation = AggregationPolicy::Buffered { target: 1 };
     assert_eq!(config.plan().unwrap_err(), PlanError::StatefulUplinkBuffered);
 }
 
