@@ -67,6 +67,23 @@ impl DownlinkPayload {
     }
 }
 
+/// Decodes one broadcast: a FedSZ stream when `compressed`, else raw
+/// state-dict bytes. The FedSZ stream embeds its codec config, so the
+/// receiver needs no local configuration (and cannot drift from the
+/// sender's). The engine, `fedsz worker` and `fedsz serve` all decode
+/// broadcasts here.
+///
+/// # Errors
+///
+/// Returns a codec error on malformed or truncated bytes.
+pub(crate) fn decode_broadcast(bytes: &[u8], compressed: bool) -> Result<StateDict> {
+    if compressed {
+        Ok(FedSz::decompress_with_config(bytes)?.0)
+    } else {
+        StateDict::from_bytes(bytes)
+    }
+}
+
 /// The per-round broadcast encoder.
 #[derive(Debug, Clone)]
 pub struct Downlink {
@@ -216,16 +233,14 @@ impl Downlink {
     }
 
     /// Decodes a received broadcast (FedSZ stream or raw dict bytes).
+    /// The FedSZ stream carries its own codec configuration, so any
+    /// mode decodes either kind.
     ///
     /// # Errors
     ///
     /// Returns a codec error on malformed bytes.
     pub fn decode(&self, bytes: &[u8], compressed: bool) -> Result<StateDict> {
-        if compressed {
-            self.codec.as_ref().expect("compressed broadcast without codec").decompress(bytes)
-        } else {
-            StateDict::from_bytes(bytes)
-        }
+        decode_broadcast(bytes, compressed)
     }
 
     /// Folds one round's measured costs into the EWMA profile the
@@ -307,6 +322,20 @@ mod tests {
             slow.predicted_compressed_secs.unwrap() < slow.predicted_raw_secs.unwrap(),
             "compressed verdict must match its own prediction"
         );
+    }
+
+    #[test]
+    fn decode_needs_no_local_codec_and_rejects_truncation() {
+        // A raw-mode receiver still decodes a compressed broadcast: the
+        // stream carries its own configuration.
+        let stream =
+            Downlink::new(DownlinkMode::Compressed, Some(config())).encode(&model(), None, 1).bytes;
+        let receiver = Downlink::new(DownlinkMode::Raw, None);
+        let back = receiver.decode(&stream, true).expect("self-describing stream");
+        assert_eq!(back.len(), model().len());
+        assert!(receiver.decode(&stream[..stream.len() / 2], true).is_err());
+        let raw = model().to_bytes();
+        assert!(receiver.decode(&raw[..raw.len() - 1], false).is_err());
     }
 
     #[test]

@@ -65,6 +65,7 @@ pub mod psum;
 pub mod shard;
 pub mod tree;
 
+pub(crate) use downlink::decode_broadcast;
 pub use downlink::{Downlink, DownlinkMode, DownlinkPayload};
 pub use plan::TreePlan;
 pub use pool::WorkerPool;

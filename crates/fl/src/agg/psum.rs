@@ -19,9 +19,9 @@
 
 use crate::agg::shard::PartialSum;
 use crate::plan::{PlanError, StageLeg, StagePolicy};
-use crate::protocol::Message;
 use fedsz::timing::CostProfile;
 use fedsz_lossless::PsumCodec;
+use fedsz_net::Message;
 use std::time::Instant;
 
 /// How partial-sum frames travel between aggregator levels.

@@ -1,29 +1,23 @@
 //! The transport-abstracted federated round engine.
 //!
-//! Historically this repo implemented the paper's Fig. 1 round loop
-//! twice: `Experiment::run_round` with analytic communication accounting
-//! and `protocol::run_session` re-deriving the same loop at the wire
-//! level — and the two drifted (no partial participation, no weighted
-//! aggregation, different seed mixing on the wire path). [`RoundEngine`]
-//! is the single shared implementation: it owns cohort selection,
-//! payload movement through a pluggable [`Transport`], the virtual-time
-//! event queue over per-client
-//! [`LinkProfile`](crate::link::LinkProfile)s, aggregation under an
-//! [`AggregationPolicy`], and evaluation. Each client's local work
-//! (train, DP, Eqn-1 codec choice, encode) and the server-side decode
-//! are the per-client pipeline `fedsz worker` and `fedsz serve` run
-//! too; the engine prices that choice against the virtual link.
-//! `Experiment` and `run_session` are thin adapters over this type with
-//! different transports.
+//! [`RoundEngine`] is the single in-memory implementation of the
+//! paper's Fig. 1 round loop: it owns cohort selection, payload
+//! movement through a pluggable [`Transport`], the virtual-time event
+//! queue over per-client [`LinkProfile`](crate::link::LinkProfile)s,
+//! aggregation under an [`AggregationPolicy`], and evaluation. Each
+//! client's local work (train, DP, Eqn-1 codec choice, encode) and the
+//! server-side decode are the per-client pipeline `fedsz worker` and
+//! `fedsz serve` run too; the engine prices that choice against the
+//! virtual link. `Experiment` is a thin adapter over this type.
 //!
 //! # Layering
 //!
 //! ```text
-//! Experiment / run_session / CLI        (adapters)
+//! Experiment / CLI                      (adapters)
 //!        └── RoundEngine                (cohort, virtual clock, policy)
 //!              ├── pipeline::ClientStep (train, DP, Eqn 1 codec, encode)
 //!              ├── pipeline::decode_upload (FedSZ | FUC1 | raw)
-//!              ├── Transport            (in-memory | framed-wire + CRC)
+//!              ├── Transport            (lossless byte mover, wire cost)
 //!              ├── link::schedule       (virtual clock, per-client links)
 //!              ├── agg::Aggregator      (flat | sharded tree, exact merge)
 //!              └── agg::Downlink        (broadcast codec, Eqn 1 fallback)
@@ -225,11 +219,6 @@ impl RoundEngine {
         &self.global
     }
 
-    /// The transport in use.
-    pub fn transport_name(&self) -> &'static str {
-        self.transport.name()
-    }
-
     /// The aggregation backend in use (`"flat"` or `"sharded-tree"`).
     pub fn aggregator_name(&self) -> &'static str {
         self.aggregator.name()
@@ -309,13 +298,10 @@ impl RoundEngine {
         );
 
         // Broadcast: the encoded model crosses the transport once per
-        // cohort client, exactly as it would on a real network. A
-        // verbatim delivery lets every client share one decoded dict
-        // instead of re-decoding `O(clients)` identical copies; only a
-        // transport that altered the bytes forces a per-client decode.
+        // cohort client, exactly as it would on a real network.
+        // Delivery is lossless, so every client loads the same dict.
         let mut downstream_bytes = 0usize;
         let mut copy_wire_bytes = 0usize;
-        let mut delivered_globals: Vec<Option<StateDict>> = Vec::with_capacity(selected.len());
         for &id in &selected {
             let delivered = self
                 .transport
@@ -323,22 +309,13 @@ impl RoundEngine {
                 .expect("transport delivers broadcast");
             downstream_bytes += delivered.wire_bytes;
             copy_wire_bytes = delivered.wire_bytes;
-            delivered_globals.push(if delivered.verbatim {
-                None // byte-identical delivery: share one decode
-            } else {
-                Some(
-                    self.downlink
-                        .decode(&delivered.payload, delivered.compressed)
-                        .expect("broadcast bytes decode to a dict"),
-                )
-            });
         }
         // Under a sharded tree the root sends one copy per active
         // shard and the edges fan out; flat servers send one per
         // client.
         let root_egress_bytes = self.aggregator.fanout(&selected) * copy_wire_bytes;
-        // One decode stands in for every verbatim client's (they all
-        // see identical bytes); the virtual clock still charges each
+        // One decode stands in for every client's (they all see
+        // identical bytes); the virtual clock still charges each
         // client its own straggler-scaled share below.
         let (decoded_global, decode_secs) = if payload.compressed {
             let t0 = Instant::now();
@@ -366,7 +343,6 @@ impl RoundEngine {
         self.downlink.observe(&payload, decode_secs);
         // Hand the buffer back so next round's encode reuses it.
         self.broadcast_buf = payload.bytes;
-        let shared_downlink_global = decoded_global.as_ref();
         drop(broadcast_span);
 
         // Local work runs in parallel threads (clients own disjoint
@@ -380,7 +356,7 @@ impl RoundEngine {
             }
             mask
         };
-        let shared_global: &StateDict = shared_downlink_global.unwrap_or(&self.global);
+        let global: &StateDict = decoded_global.as_ref().unwrap_or(&self.global);
         let train_span = self.telemetry.span_with(
             "engine.train",
             &[("round", Value::U64(round as u64)), ("cohort", Value::U64(selected.len() as u64))],
@@ -400,11 +376,9 @@ impl RoundEngine {
                 .zip(self.residuals.iter_mut())
                 .enumerate()
                 .filter(|(id, _)| mask[*id])
-                .zip(delivered_globals)
-                .map(|((id, (client, residual)), delivered)| {
+                .map(|(id, (client, residual))| {
                     let step = &step;
                     scope.spawn(move || {
-                        let global = delivered.as_ref().unwrap_or(shared_global);
                         // Eqn 1 prices this client on its virtual link.
                         let link = topology.map(|t| t.link(id));
                         let link = LinkEstimate {
@@ -513,7 +487,6 @@ impl RoundEngine {
         // Delta streams decode against the same broadcast dict every
         // client loaded this round (aggregation has not run yet, so
         // `self.global` is still the round's reference).
-        let uplink_reference = decoded_global.as_ref().unwrap_or(&self.global);
         let server_updates: Vec<ServerUpdate> = outcomes
             .iter()
             .zip(server_payloads)
@@ -523,7 +496,7 @@ impl RoundEngine {
                 let dict = if dropped {
                     StateDict::new()
                 } else {
-                    decode_upload(&payload, compressed, &self.uplink, Some(uplink_reference))
+                    decode_upload(&payload, compressed, &self.uplink, Some(global))
                         .expect("self-produced upload")
                 };
                 let elapsed = t_dec.elapsed().as_secs_f64();
@@ -737,7 +710,7 @@ mod tests {
     use super::*;
     use crate::agg::DownlinkMode;
     use crate::link::LinkProfile;
-    use crate::transport::{InMemoryTransport, WireTransport};
+    use crate::transport::InMemoryTransport;
 
     fn engine(config: FlConfig) -> RoundEngine {
         RoundEngine::new(config, Box::<InMemoryTransport>::default())
@@ -800,12 +773,6 @@ mod tests {
         let m = e.run_round(0);
         assert_eq!(m.dropped_updates, 2);
         assert_eq!(m.aggregated_updates, 2);
-    }
-
-    #[test]
-    fn wire_transport_reports_its_name() {
-        let e = RoundEngine::new(FlConfig::smoke_test(), Box::new(WireTransport::new()));
-        assert_eq!(e.transport_name(), "framed-wire");
     }
 
     #[test]

@@ -10,10 +10,9 @@
 //! virtual-time event queue ([`link`]) while measuring compute and codec
 //! times for real — same methodology, no wasted wall-clock.
 //!
-//! Every entry point — [`Experiment`], [`protocol::run_session`], the
-//! scaling harness and the CLI — drives the same
+//! [`Experiment`], the CLI and the benches drive one
 //! [`engine::RoundEngine`], parameterized by a [`transport::Transport`]
-//! (analytic in-memory, or framed-wire with CRC accounting), a link
+//! (the analytic in-memory byte mover), a link
 //! [`link::Topology`] (one shared pipe, per-client heterogeneous
 //! links, or an aggregation tree of any depth), an
 //! [`engine::AggregationPolicy`] (synchronous FedAvg or FedBuff-style
@@ -51,7 +50,6 @@ pub mod link;
 pub mod net;
 mod pipeline;
 pub mod plan;
-pub mod protocol;
 pub mod scaling;
 pub mod sweep;
 pub mod transport;
@@ -612,8 +610,7 @@ pub struct RoundMetrics {
     /// Mean compression ratio across clients (1.0 when disabled).
     pub ratio: f64,
     /// Server→client bytes on the wire this round — one (possibly
-    /// downlink-encoded) copy per cohort client, framing included on
-    /// the wire transport.
+    /// downlink-encoded) copy per cohort client.
     pub downstream_bytes: usize,
     /// Client→server bytes on the wire this round.
     pub upstream_bytes: usize,
@@ -663,9 +660,8 @@ pub struct RoundMetrics {
 /// A FedAvg experiment over the analytic in-memory transport: a global
 /// model, sharded clients and a test set.
 ///
-/// This is a thin adapter over [`engine::RoundEngine`]; the wire-level
-/// twin is [`protocol::run_session`], which drives the *same* engine
-/// over the framed-wire transport.
+/// This is a thin adapter over [`engine::RoundEngine`]; the socket
+/// runtime ([`net`]) reproduces its checksums over real frames.
 pub struct Experiment {
     engine: RoundEngine,
 }

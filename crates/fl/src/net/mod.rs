@@ -6,8 +6,8 @@
 //! mode the ROADMAP's production north-star asks for: the same round,
 //! run across OS processes with every byte crossing a real kernel
 //! socket as a CRC-framed FMSG message
-//! ([`fedsz_net`]'s `FrameReader`/`FrameWriter` — the exact encode and
-//! decode paths the in-memory wire transport uses).
+//! ([`fedsz_net`]'s `FrameReader`/`FrameWriter`, the workspace's one
+//! frame encode and decode path).
 //!
 //! ```text
 //!   fedsz worker --id 0 ─┐ Join/Update            ┌─ GlobalModel/EncodedGlobal
@@ -84,11 +84,9 @@
 //! [`PartialSum::encode_exact`]: crate::agg::PartialSum::encode_exact
 
 pub mod server;
-pub mod socket;
 pub mod worker;
 
 pub use server::{NetRound, NetServer, Role, ServeConfig, ServeReport};
-pub use socket::SocketTransport;
 pub use worker::{run_worker, WorkerConfig, WorkerReport};
 
 use fedsz_codec::checksum::crc32;

@@ -26,12 +26,11 @@
 //! fixed-point accumulator makes the result independent of process
 //! placement — the bit-parity the integration tests pin down.
 
-use crate::agg::{template_matches, Downlink, PartialSum, ShardPlan};
+use crate::agg::{decode_broadcast, template_matches, Downlink, PartialSum, ShardPlan};
 use crate::net::global_checksum;
 use crate::pipeline::{decode_upload, UplinkCodecs};
 use crate::plan::{RoundPlan, StagePolicy};
 use crate::FlConfig;
-use fedsz::FedSz;
 use fedsz_lossless::PsumCodec;
 use fedsz_net::{Message, NetError, Reactor, ReactorEvent, Session, Token};
 use fedsz_nn::{Model, StateDict};
@@ -990,15 +989,8 @@ impl NetServer {
             // the workers received, so the server re-decodes its own
             // frame bytes once per round — even under a lossy downlink
             // both sides then hold bit-identical reference dicts.
-            let uplink_reference: Option<StateDict> = if codecs.emits_fuc1() {
-                Some(if compressed {
-                    FedSz::decompress_with_config(&bytes)?.0
-                } else {
-                    StateDict::from_bytes(&bytes)?
-                })
-            } else {
-                None
-            };
+            let uplink_reference: Option<StateDict> =
+                codecs.emits_fuc1().then(|| decode_broadcast(&bytes, compressed)).transpose()?;
 
             // One encode serves the whole fan-out: every child receives
             // byte-identical frames, queued as one shared `Arc` on each

@@ -34,11 +34,11 @@
 //!
 //! [`FlConfig::make_client`]: crate::FlConfig::make_client
 
+use crate::agg::decode_broadcast;
 use crate::pipeline::{
     decode_upload, emit_dp_noise, emit_eqn1, ClientStep, LinkEstimate, UplinkCodecs,
 };
 use crate::{Client, FlConfig};
-use fedsz::FedSz;
 use fedsz_net::{Backoff, Message, NetError, Session};
 use fedsz_telemetry::{Telemetry, Value};
 use std::time::{Duration, Instant};
@@ -202,7 +202,7 @@ pub fn run_worker(config: WorkerConfig) -> Result<WorkerReport, NetError> {
     let mut last_round = 0u32;
     let mut dropped_once = false;
 
-    'outer: loop {
+    loop {
         // ---- (re)connect with the bounded, jittered schedule ----
         let (mut session, mut on_fallback) = loop {
             let use_fallback = retry_uses_fallback(attempt, fallback.is_some());
@@ -219,203 +219,176 @@ pub fn run_worker(config: WorkerConfig) -> Result<WorkerReport, NetError> {
                 }
             }
         };
-        if session
-            .send(&Message::Join { client_id: config.id as u64, round: last_round, relay: false })
-            .is_err()
-        {
-            if attempt >= config.retries {
-                return Err(NetError::Closed);
-            }
-            std::thread::sleep(backoff.delay(attempt));
-            attempt += 1;
-            continue 'outer;
-        }
-        if sessions == 0 {
-            config.telemetry.event("worker.join", &[("client", Value::U64(config.id as u64))]);
-        } else {
-            reconnects += 1;
-            config.telemetry.event(
-                "worker.reconnect",
-                &[
-                    ("client", Value::U64(config.id as u64)),
-                    ("attempt", Value::U64(u64::from(attempt))),
-                    ("fallback", Value::Bool(on_fallback)),
-                ],
-            );
-        }
-        sessions += 1;
 
-        // ---- the round loop on this session ----
-        loop {
-            let message = match session.recv(Some(config.timeout)) {
-                Ok(message) => message,
-                // Corrupt frames and protocol violations are fatal —
-                // reconnecting cannot cure bad bytes.
-                Err(e @ (NetError::Codec(_) | NetError::Protocol(_))) => return Err(e),
-                Err(e) => {
-                    uploaded += session.bytes_sent() as usize;
-                    downloaded += session.bytes_received() as usize;
-                    if attempt >= config.retries {
-                        return Err(e);
-                    }
-                    std::thread::sleep(backoff.delay(attempt));
-                    attempt += 1;
-                    continue 'outer;
-                }
-            };
-            // The server answered: the outage (if any) is over, and a
-            // session that proved the fallback works makes it the new
-            // primary for whatever comes next.
-            attempt = 0;
-            if on_fallback {
-                if let Some(fb) = fallback.take() {
-                    fallback = Some(std::mem::replace(&mut primary, fb));
-                }
-                on_fallback = false;
+        // ---- the session: `None` on Shutdown, else the lost session's
+        // error, returned if the retry budget is spent ----
+        let lost: Option<NetError> = 'session: {
+            let join =
+                Message::Join { client_id: config.id as u64, round: last_round, relay: false };
+            if session.send(&join).is_err() {
+                break 'session Some(NetError::Closed);
             }
-
-            let (round, dict) = match message {
-                Message::GlobalModel { round, dict_bytes } => {
-                    (round, fedsz_nn::StateDict::from_bytes(&dict_bytes)?)
-                }
-                // The FedSZ stream embeds its codec config, so decoding
-                // needs no local configuration (and cannot drift from
-                // the server's).
-                Message::EncodedGlobal { round, payload } => {
-                    (round, FedSz::decompress_with_config(&payload)?.0)
-                }
-                Message::Shutdown => {
-                    uploaded += session.bytes_sent() as usize;
-                    downloaded += session.bytes_received() as usize;
-                    break 'outer;
-                }
-                other => {
-                    return Err(NetError::Protocol(format!(
-                        "worker expected a broadcast, got {other:?}"
-                    )))
-                }
-            };
-            last_round = round;
-
-            if config.drop_session_at_round == Some(round) && !dropped_once {
-                // The churn-test chaos knob: one abrupt mid-run
-                // disconnect, then the regular reconnect/resume path.
-                dropped_once = true;
-                uploaded += session.bytes_sent() as usize;
-                downloaded += session.bytes_received() as usize;
-                session.close();
-                // The drop consumes retry budget like any real outage
-                // (`--retries 0` turns it into a permanent death).
-                if attempt >= config.retries {
-                    return Err(NetError::Closed);
-                }
-                std::thread::sleep(backoff.delay(attempt));
-                attempt += 1;
-                continue 'outer;
+            if sessions == 0 {
+                config.telemetry.event("worker.join", &[("client", Value::U64(config.id as u64))]);
+            } else {
+                reconnects += 1;
+                config.telemetry.event(
+                    "worker.reconnect",
+                    &[
+                        ("client", Value::U64(config.id as u64)),
+                        ("attempt", Value::U64(u64::from(attempt))),
+                        ("fallback", Value::Bool(on_fallback)),
+                    ],
+                );
             }
+            sessions += 1;
 
-            // The resume path: a re-broadcast of a round this client
-            // already trained means the server never saw (or lost) the
-            // upload — resend the cached frame byte-identically.
-            // Training again instead would advance the client's RNG
-            // and momentum a second time and diverge from `fedsz fl`.
-            if let Some(c) = &cached {
-                if c.round == round {
-                    config.telemetry.event(
-                        "worker.resume",
-                        &[
-                            ("client", Value::U64(config.id as u64)),
-                            ("round", Value::U64(u64::from(round))),
-                        ],
-                    );
-                    if session.send_frame(&c.frame).is_err() {
-                        uploaded += session.bytes_sent() as usize;
-                        downloaded += session.bytes_received() as usize;
-                        if attempt >= config.retries {
-                            return Err(NetError::Closed);
-                        }
-                        std::thread::sleep(backoff.delay(attempt));
-                        attempt += 1;
-                        continue 'outer;
-                    }
-                    continue;
-                }
-            }
-
-            let round_span = config.telemetry.span_with(
-                "worker.round",
-                &[
-                    ("round", Value::U64(u64::from(round))),
-                    ("client", Value::U64(config.id as u64)),
-                ],
-            );
-            let step = ClientStep {
-                round: round as usize,
-                epochs: config.fl.local_epochs,
-                seed: config.fl.seed,
-                dp: plan.dp.as_ref(),
-                codecs: &codecs,
-            };
-            // Eqn 1 prices the upload against the measured bandwidth
-            // (`None` until a send was timed: the step then probes).
-            let estimate = LinkEstimate { bandwidth_bps: link.bps, compute_slowdown: 1.0 };
-            let upload = step
-                .run(&mut client, &dict, &mut residual, estimate)
-                .map_err(|e| NetError::Protocol(format!("global dict rejected: {e}")))?;
-            if let Some(dp) = &upload.dp {
-                emit_dp_noise(&config.telemetry, round as usize, config.id, dp);
-            }
-            if let Some(idx) = upload.codec {
-                // The server-side decode cost is measured once per
-                // priced codec and carried by the EWMA afterwards.
-                let decompress_secs = if codecs.needs_decode_probe(idx) {
-                    let t0 = Instant::now();
-                    decode_upload(&upload.payload, true, &codecs, Some(&dict)).map_err(|e| {
-                        NetError::Protocol(format!("own upload does not decode: {e}"))
-                    })?;
-                    Some(t0.elapsed().as_secs_f64())
-                } else {
-                    None
+            // ---- the round loop on this session ----
+            loop {
+                let message = match session.recv(Some(config.timeout)) {
+                    Ok(message) => message,
+                    // Corrupt frames and protocol violations are fatal —
+                    // reconnecting cannot cure bad bytes.
+                    Err(e @ (NetError::Codec(_) | NetError::Protocol(_))) => return Err(e),
+                    Err(e) => break 'session Some(e),
                 };
-                codecs.observe(idx, &[upload.cost], decompress_secs);
-            }
-            // Predictions exist only once both the codec profile and a
-            // bandwidth sample do; probe rounds show `null`.
-            emit_eqn1(&config.telemetry, &upload.decision);
-
-            // Cache the encoded frame *before* the send: a send that
-            // dies mid-frame must leave the worker able to resend this
-            // exact round on the resumed session, never retrain it.
-            let frame = Message::Update {
-                round,
-                client_id: config.id as u64,
-                payload: upload.payload,
-                compressed: upload.codec.is_some(),
-            }
-            .encode();
-            cached = Some(CachedUpload { round, frame });
-            rounds += 1;
-            if upload.codec.is_some() {
-                compressed_rounds += 1;
-            }
-            let frame = &cached.as_ref().expect("just cached").frame;
-            let t_send = Instant::now();
-            match session.send_frame(frame) {
-                Ok(wire_bytes) => link.observe(wire_bytes, t_send.elapsed().as_secs_f64()),
-                Err(_) => {
-                    drop(round_span);
-                    uploaded += session.bytes_sent() as usize;
-                    downloaded += session.bytes_received() as usize;
-                    if attempt >= config.retries {
-                        return Err(NetError::Closed);
+                // The server answered: the outage (if any) is over, and
+                // a session that proved the fallback works makes it the
+                // new primary for whatever comes next.
+                attempt = 0;
+                if on_fallback {
+                    if let Some(fb) = fallback.take() {
+                        fallback = Some(std::mem::replace(&mut primary, fb));
                     }
-                    std::thread::sleep(backoff.delay(attempt));
-                    attempt += 1;
-                    continue 'outer;
+                    on_fallback = false;
                 }
+
+                let (round, dict) = match message {
+                    Message::GlobalModel { round, dict_bytes } => {
+                        (round, decode_broadcast(&dict_bytes, false)?)
+                    }
+                    Message::EncodedGlobal { round, payload } => {
+                        (round, decode_broadcast(&payload, true)?)
+                    }
+                    Message::Shutdown => break 'session None,
+                    other => {
+                        return Err(NetError::Protocol(format!(
+                            "worker expected a broadcast, got {other:?}"
+                        )))
+                    }
+                };
+                last_round = round;
+
+                if config.drop_session_at_round == Some(round) && !dropped_once {
+                    // The churn-test chaos knob: one abrupt mid-run
+                    // disconnect, then the regular reconnect/resume
+                    // path. The drop consumes retry budget like any
+                    // real outage (`--retries 0` turns it into a
+                    // permanent death).
+                    dropped_once = true;
+                    session.close();
+                    break 'session Some(NetError::Closed);
+                }
+
+                // The resume path: a re-broadcast of a round this client
+                // already trained means the server never saw (or lost)
+                // the upload — resend the cached frame byte-identically.
+                // Training again instead would advance the client's RNG
+                // and momentum a second time and diverge from `fedsz fl`.
+                if let Some(c) = &cached {
+                    if c.round == round {
+                        config.telemetry.event(
+                            "worker.resume",
+                            &[
+                                ("client", Value::U64(config.id as u64)),
+                                ("round", Value::U64(u64::from(round))),
+                            ],
+                        );
+                        if session.send_frame(&c.frame).is_err() {
+                            break 'session Some(NetError::Closed);
+                        }
+                        continue;
+                    }
+                }
+
+                let round_span = config.telemetry.span_with(
+                    "worker.round",
+                    &[
+                        ("round", Value::U64(u64::from(round))),
+                        ("client", Value::U64(config.id as u64)),
+                    ],
+                );
+                let step = ClientStep {
+                    round: round as usize,
+                    epochs: config.fl.local_epochs,
+                    seed: config.fl.seed,
+                    dp: plan.dp.as_ref(),
+                    codecs: &codecs,
+                };
+                // Eqn 1 prices the upload against the measured
+                // bandwidth (`None` until a send was timed: the step
+                // then probes).
+                let estimate = LinkEstimate { bandwidth_bps: link.bps, compute_slowdown: 1.0 };
+                let upload = step
+                    .run(&mut client, &dict, &mut residual, estimate)
+                    .map_err(|e| NetError::Protocol(format!("global dict rejected: {e}")))?;
+                if let Some(dp) = &upload.dp {
+                    emit_dp_noise(&config.telemetry, round as usize, config.id, dp);
+                }
+                if let Some(idx) = upload.codec {
+                    // The server-side decode cost is measured once per
+                    // priced codec and carried by the EWMA afterwards.
+                    let decompress_secs = if codecs.needs_decode_probe(idx) {
+                        let t0 = Instant::now();
+                        decode_upload(&upload.payload, true, &codecs, Some(&dict)).map_err(
+                            |e| NetError::Protocol(format!("own upload does not decode: {e}")),
+                        )?;
+                        Some(t0.elapsed().as_secs_f64())
+                    } else {
+                        None
+                    };
+                    codecs.observe(idx, &[upload.cost], decompress_secs);
+                }
+                // Predictions exist only once both the codec profile and
+                // a bandwidth sample do; probe rounds show `null`.
+                emit_eqn1(&config.telemetry, &upload.decision);
+
+                // Cache the encoded frame *before* the send: a send that
+                // dies mid-frame must leave the worker able to resend
+                // this exact round on the resumed session, never
+                // retrain it.
+                let frame = Message::Update {
+                    round,
+                    client_id: config.id as u64,
+                    payload: upload.payload,
+                    compressed: upload.codec.is_some(),
+                }
+                .encode();
+                cached = Some(CachedUpload { round, frame });
+                rounds += 1;
+                if upload.codec.is_some() {
+                    compressed_rounds += 1;
+                }
+                let frame = &cached.as_ref().expect("just cached").frame;
+                let t_send = Instant::now();
+                match session.send_frame(frame) {
+                    Ok(wire_bytes) => link.observe(wire_bytes, t_send.elapsed().as_secs_f64()),
+                    Err(_) => break 'session Some(NetError::Closed),
+                }
+                drop(round_span);
             }
-            drop(round_span);
+        };
+
+        // ---- the one reconnect path: book the session's bytes, then
+        // back off and retry until the budget is spent ----
+        uploaded += session.bytes_sent() as usize;
+        downloaded += session.bytes_received() as usize;
+        let Some(exhausted) = lost else { break };
+        if attempt >= config.retries {
+            return Err(exhausted);
         }
+        std::thread::sleep(backoff.delay(attempt));
+        attempt += 1;
     }
     Ok(WorkerReport {
         rounds,

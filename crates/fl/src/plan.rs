@@ -28,9 +28,8 @@
 //! rates, zero batch sizes or round counts, link lists that do not
 //! match the cohort, edge-link lists that do not match the leaf
 //! count, and compressing stages configured without a codec. The
-//! engine ([`RoundEngine`](crate::engine::RoundEngine)), the socket
-//! runtime ([`crate::net`]) and the scaling harness
-//! ([`crate::scaling`]) all consume the plan — none of them looks at
+//! engine ([`RoundEngine`](crate::engine::RoundEngine)) and the socket
+//! runtime ([`crate::net`]) both consume the plan — neither looks at
 //! the raw precedence-ridden fields anymore.
 //!
 //! # One policy type for every compression leg
@@ -524,8 +523,8 @@ impl std::error::Error for PlanError {}
 /// The canonical, validated execution plan of one federated run.
 ///
 /// Produced by [`FlConfig::plan`]; consumed by
-/// [`RoundEngine::from_plan`](crate::engine::RoundEngine::from_plan),
-/// the socket runtime and the scaling harness. Holding a `RoundPlan`
+/// [`RoundEngine::from_plan`](crate::engine::RoundEngine::from_plan)
+/// and the socket runtime. Holding a `RoundPlan`
 /// is proof the configuration passed every build-time check — the
 /// executors can `expect` on it instead of re-validating.
 #[derive(Debug, Clone)]
@@ -599,11 +598,8 @@ impl RoundPlan {
 }
 
 /// Validates an explicit tree spec's per-level fan-outs: at least one
-/// level, every fan-out positive, leaf count representable. Shared by
-/// [`FlConfig::plan`] and
-/// [`ScalingConfig::plan`](crate::scaling::ScalingConfig::plan) so a
-/// new tree-shape rule applies to both.
-pub(crate) fn validate_tree_fanouts(fanouts: &[usize]) -> Result<(), PlanError> {
+/// level, every fan-out positive, leaf count representable.
+fn validate_tree_fanouts(fanouts: &[usize]) -> Result<(), PlanError> {
     if fanouts.is_empty() {
         return Err(PlanError::EmptyTree);
     }

@@ -10,12 +10,10 @@
 //! [`Message`] into its frame and pushes the bytes whole into any
 //! [`Write`].
 //!
-//! Both the in-memory [`WireTransport`] pipe (where the "stream" is a
-//! `Vec<u8>`) and the real TCP [`Session`](crate::Session) use these
-//! two types, so there is exactly one encode path and one decode path
-//! for FMSG frames in the workspace.
-//!
-//! [`WireTransport`]: https://docs.rs/fedsz-fl (crate `fedsz-fl`, `transport` module)
+//! The TCP [`Session`](crate::Session) uses both types and the
+//! [`Reactor`](crate::Reactor) reads through [`FrameReader`], so there
+//! is exactly one decode path for FMSG frames in the workspace; every
+//! frame is encoded by [`Message::encode`].
 
 use crate::wire::{frame_len, Message};
 use crate::NetError;

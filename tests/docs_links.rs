@@ -92,7 +92,7 @@ fn architecture_names_real_modules() {
         ("link::schedule", "crates/fl/src/link.rs"),
         ("agg::TreePlan", "crates/fl/src/agg/plan.rs"),
         ("PsumForwarder", "crates/fl/src/agg/psum.rs"),
-        ("protocol::Message", "crates/fl/src/protocol.rs"),
+        ("fedsz_net::Message", "crates/net/src/wire.rs"),
         ("RoundPlan", "crates/fl/src/plan.rs"),
         ("StagePolicy", "crates/fl/src/plan.rs"),
         ("PlanError", "crates/fl/src/plan.rs"),

@@ -11,7 +11,6 @@ use fedsz_fl::{Experiment, FlConfig};
 use fedsz_nn::models::specs::ModelSpec;
 use fedsz_nn::models::tiny::TinyArch;
 use fedsz_nn::StateDict;
-use std::time::Instant;
 
 #[test]
 fn non_iid_training_with_weighted_aggregation_learns() {
@@ -41,15 +40,49 @@ fn non_iid_shards_are_skewed_but_cover_all_data() {
     assert!(max_share > 0.35, "expected label skew, max share {max_share:.2}");
 }
 
-#[test]
-fn advisor_agrees_with_figure8_crossover() {
-    // SZ2 at REL 1e-2, profiled on a scaled AlexNet sample, priced by
-    // the uplink's Eqn-1 family selector for the full-size update.
-    let spec = ModelSpec::alexnet();
-    let sample = spec.instantiate_scaled(3, 0.02);
+/// SZ2 at REL 1e-2 on the 0.02-scaled AlexNet sample Fig 8 profiles,
+/// with its compression ratio (deterministic).
+fn figure8_sample() -> (StateDict, FedSz, Vec<u8>) {
+    let sample = ModelSpec::alexnet().instantiate_scaled(3, 0.02);
     let config = FedSzConfig { lossy: LossyKind::Sz2, ..FedSzConfig::default() }
         .with_error_bound(ErrorBound::Relative(1e-2));
     let fedsz = FedSz::new(config);
+    let packed = fedsz.compress(&sample).unwrap().into_bytes();
+    (sample, fedsz, packed)
+}
+
+/// The uplink's Eqn-1 family selector, priced for the full-size
+/// AlexNet update: compress well below break-even, raw far above it.
+fn assert_figure8_crossover(profile: CostProfile) {
+    let candidates = [FamilyCandidate { family: "lossy", profile: Some(profile) }];
+    let pick =
+        |bps: f64| select_family(ModelSpec::alexnet().byte_size(), Some(bps), &candidates, 0);
+    assert_eq!(pick(mbps(10.0)).choice, Some(0), "{profile:?}");
+    assert_eq!(pick(mbps(1e6)).choice, None, "{profile:?}");
+}
+
+/// The codec times are pinned (a release build on a 2-vCPU x86-64 host
+/// measured 1.2e-8 s/B to compress and 1.05e-8 s/B to decompress this
+/// sample), so the verdict does not depend on build profile or machine
+/// speed; the measured twin below runs in release builds.
+#[test]
+fn advisor_agrees_with_figure8_crossover() {
+    let (sample, _, packed) = figure8_sample();
+    assert_figure8_crossover(CostProfile {
+        compress_secs_per_byte: 1.2e-8,
+        decompress_secs_per_byte: 1.05e-8,
+        ratio: sample.byte_size() as f64 / packed.len() as f64,
+    });
+}
+
+/// [`advisor_agrees_with_figure8_crossover`] on codec times measured
+/// here; debug-build codecs are several times slower than the paper's,
+/// so this only compiles into release test runs.
+#[cfg(not(debug_assertions))]
+#[test]
+fn advisor_agrees_with_measured_figure8_crossover() {
+    use std::time::Instant;
+    let (sample, fedsz, _) = figure8_sample();
     let t0 = Instant::now();
     let packed = fedsz.compress(&sample).unwrap();
     let compress_secs = t0.elapsed().as_secs_f64();
@@ -57,16 +90,11 @@ fn advisor_agrees_with_figure8_crossover() {
     fedsz.decompress(packed.bytes()).unwrap();
     let decompress_secs = t1.elapsed().as_secs_f64();
     let raw = sample.byte_size() as f64;
-    let profile = CostProfile {
+    assert_figure8_crossover(CostProfile {
         compress_secs_per_byte: compress_secs / raw,
         decompress_secs_per_byte: decompress_secs / raw,
         ratio: raw / packed.bytes().len() as f64,
-    };
-    let candidates = [FamilyCandidate { family: "lossy", profile: Some(profile) }];
-    let pick = |bps: f64| select_family(spec.byte_size(), Some(bps), &candidates, 0);
-    // Well below break-even: compress. Far above: send raw.
-    assert_eq!(pick(mbps(10.0)).choice, Some(0), "{profile:?}");
-    assert_eq!(pick(mbps(1e6)).choice, None, "{profile:?}");
+    });
 }
 
 #[test]

@@ -7,13 +7,10 @@
 //! the CI smoke job runs the same topology with actual `fedsz serve` /
 //! `fedsz worker` child processes.
 
-use fedsz_fl::engine::RoundEngine;
 use fedsz_fl::net::{
-    global_checksum, run_worker, NetServer, ServeConfig, SocketTransport, WorkerConfig,
-    WorkerReport,
+    global_checksum, run_worker, NetServer, ServeConfig, WorkerConfig, WorkerReport,
 };
 use fedsz_fl::plan::StagePolicy;
-use fedsz_fl::transport::InMemoryTransport;
 use fedsz_fl::{DpMechanism, DpPolicy, Experiment, FlConfig};
 use fedsz_net::{Message, NetError, Session};
 use std::thread;
@@ -287,32 +284,4 @@ fn idle_connection_cannot_starve_the_handshake() {
         "the lurker stalled the session for {:?}",
         t0.elapsed()
     );
-}
-
-#[test]
-fn engine_over_socket_transport_matches_in_memory() {
-    // The Transport-level half of the story: the unchanged round
-    // engine, with its frames crossing a real kernel socket.
-    let config = quick_config();
-    let mut analytic = RoundEngine::new(config.clone(), Box::<InMemoryTransport>::default());
-    let mut socket = RoundEngine::new(
-        config.clone(),
-        Box::new(SocketTransport::loopback().expect("loopback echo peer")),
-    );
-    assert_eq!(socket.transport_name(), "socket");
-    for round in 0..config.rounds {
-        let a = analytic.run_round(round);
-        let s = socket.run_round(round);
-        assert_eq!(
-            analytic.global_state().to_bytes(),
-            socket.global_state().to_bytes(),
-            "global models diverged at round {round}"
-        );
-        assert!(
-            s.upstream_bytes > a.upstream_bytes,
-            "socket frames must carry framing overhead: {} vs {}",
-            s.upstream_bytes,
-            a.upstream_bytes
-        );
-    }
 }

@@ -1,9 +1,7 @@
-//! Integration tests for the transport-abstracted round engine: wire vs
-//! analytic parity, heterogeneous-link virtual-time accounting, and
+//! Integration tests for the round engine: heterogeneous-link
+//! virtual-time accounting, transit loss, adaptive compression and
 //! buffered-asynchronous aggregation.
 
-use fedsz_fl::engine::RoundEngine;
-use fedsz_fl::transport::{InMemoryTransport, WireTransport};
 use fedsz_fl::{AggregationPolicy, Experiment, FlConfig, LinkProfile};
 
 fn quick_config() -> FlConfig {
@@ -12,50 +10,6 @@ fn quick_config() -> FlConfig {
     config.data.train_per_class = 8;
     config.data.test_per_class = 4;
     config
-}
-
-#[test]
-fn wire_and_analytic_transports_agree_bit_for_bit() {
-    // The core promise of the refactor: `Experiment` (in-memory) and
-    // `run_session` (framed wire) are the same engine, so for one seed
-    // they must produce *identical* global models, not merely similar
-    // accuracies.
-    let config = quick_config();
-    let mut analytic = RoundEngine::new(config.clone(), Box::<InMemoryTransport>::default());
-    let mut wire = RoundEngine::new(config.clone(), Box::new(WireTransport::new()));
-    for round in 0..config.rounds {
-        let a = analytic.run_round(round);
-        let w = wire.run_round(round);
-        assert_eq!(
-            analytic.global_state().to_bytes(),
-            wire.global_state().to_bytes(),
-            "global models diverged at round {round}"
-        );
-        assert_eq!(a.test_accuracy, w.test_accuracy, "accuracy diverged at round {round}");
-        // The wire path pays framing overhead on every message.
-        assert!(
-            w.upstream_bytes > a.upstream_bytes,
-            "round {round}: wire upstream {} should exceed analytic {}",
-            w.upstream_bytes,
-            a.upstream_bytes
-        );
-    }
-}
-
-#[test]
-fn parity_holds_with_partial_participation_and_non_iid() {
-    let mut config = quick_config();
-    config.clients = 4;
-    config.participation = 0.5;
-    config.non_iid_alpha = Some(0.5);
-    config.weighted_aggregation = true;
-    let mut analytic = RoundEngine::new(config.clone(), Box::<InMemoryTransport>::default());
-    let mut wire = RoundEngine::new(config.clone(), Box::new(WireTransport::new()));
-    for round in 0..config.rounds {
-        analytic.run_round(round);
-        wire.run_round(round);
-    }
-    assert_eq!(analytic.global_state().to_bytes(), wire.global_state().to_bytes());
 }
 
 #[test]
