@@ -134,9 +134,10 @@ stochastic), or auto (Eqn 1 prices lossy vs topk:0.01 vs q8 per link
 and picks the fastest, probing unmeasured families first). Appending
 +ef (topk:0.01+ef, q8+ef) adds per-client error feedback: mass the
 codec dropped re-enters the next round's delta. EF keeps state across
-rounds, so it is rejected with --policy buffered:K. --threads N sets
-the tree's merge worker-pool width (default: host parallelism); it
-changes wall-clock only — any width produces identical bits.
+rounds, so it is rejected with --policy buffered:K. --threads N bounds
+the worker threads that train the cohort and merge the tree's levels
+(default: host parallelism); it changes wall-clock only — any width
+produces identical bits.
 --dp-clip C turns on the differential-privacy stage: each client's
 update delta is clipped to L2 norm <= C, then per-element noise of
 scale sigma = C x --dp-noise is added (--dp-mechanism picks gaussian
@@ -666,10 +667,11 @@ fn shared_fl_config(args: &[String]) -> Result<FlConfig, String> {
             config.dp = Some(DpPolicy { clip_norm, noise_multiplier, mechanism, seed });
         }
     }
-    // Execution width, not semantics: the aggregation tree merges its
-    // leaves/levels on this many worker threads (default: the host's
-    // available parallelism). Any width produces identical bits, so
-    // multi-process peers need not agree on it.
+    // Execution width, not semantics: the engine trains its cohort and
+    // the aggregation tree merges its leaves/levels on this many worker
+    // threads (default: the host's available parallelism). Any width
+    // produces identical bits, so multi-process peers need not agree
+    // on it.
     if let Some(threads) = flag_value(args, "--threads") {
         match threads.parse::<usize>() {
             Ok(t) if t > 0 => config.worker_threads = Some(t),

@@ -8,14 +8,19 @@
 //! client's local work (train, DP, Eqn-1 codec choice, encode) and the
 //! server-side decode are the per-client pipeline `fedsz worker` and
 //! `fedsz serve` run too; the engine prices that choice against the
-//! virtual link. `Experiment` is a thin adapter over this type.
+//! virtual link. The cohort's local work runs on an
+//! [`agg::WorkerPool`](crate::agg::WorkerPool) as wide as
+//! `plan.worker_threads`, so W threads host N clients (the paper's
+//! Fig. 9 ranks) and the pool width never moves a bit. `Experiment` is
+//! a thin adapter over this type.
 //!
 //! # Layering
 //!
 //! ```text
-//! Experiment / CLI                      (adapters)
+//! Experiment / CLI / fig9               (adapters)
 //!        └── RoundEngine                (cohort, virtual clock, policy)
-//!              ├── pipeline::ClientStep (train, DP, Eqn 1 codec, encode)
+//!              ├── pipeline::ClientStep (train, DP, Eqn 1 codec, encode;
+//!              │                         on the W-wide training pool)
 //!              ├── pipeline::decode_upload (FedSZ | FUC1 | raw)
 //!              ├── Transport            (lossless byte mover, wire cost)
 //!              ├── link::schedule       (virtual clock, per-client links)
@@ -32,7 +37,9 @@
 //!   stragglers' updates are buffered and folded into the *next* round's
 //!   average with a staleness-discounted weight.
 
-use crate::agg::{AggOutcome, Aggregator, Contribution, Downlink, FlatAggregator, ShardedTree};
+use crate::agg::{
+    AggOutcome, Aggregator, Contribution, Downlink, FlatAggregator, ShardedTree, WorkerPool,
+};
 use crate::link::{self, Departure, Topology};
 use crate::pipeline::{
     decode_upload, emit_dp_noise, emit_eqn1, ClientStep, ClientUpload, CodecUse, LinkEstimate,
@@ -45,6 +52,7 @@ use fedsz::timing::{Eqn1Decision, Eqn1Leg};
 use fedsz_nn::loss::top1_accuracy;
 use fedsz_nn::{Model, StateDict};
 use fedsz_telemetry::{Telemetry, Value};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// When the server aggregates a round's uploads.
@@ -109,6 +117,10 @@ pub struct RoundEngine {
     /// The plan's DP stage: clip + seeded noise on every client delta
     /// before the uplink codec (`None` disables it).
     dp: Option<fedsz_dp::DpPolicy>,
+    /// Runs the cohort's local work, `plan.worker_threads` wide. Its
+    /// own telemetry stays disabled: `engine.train` times the stage,
+    /// and the `fedsz_pool_*` counters belong to the merge pool.
+    pool: WorkerPool,
     /// Stage spans and Eqn-1 decision events land here; disabled by
     /// default (one branch per call, no allocation).
     telemetry: Telemetry,
@@ -192,6 +204,7 @@ impl RoundEngine {
             pending: Vec::new(),
             residuals,
             dp,
+            pool: WorkerPool::new(worker_threads),
             telemetry: Telemetry::disabled(),
         }
     }
@@ -234,20 +247,16 @@ impl RoundEngine {
         (0..self.config.rounds).map(|r| self.run_round(r)).collect()
     }
 
-    /// The deterministic rotating cohort for `round`, as a boolean mask
-    /// plus the ascending list of selected client ids.
+    /// The deterministic rotating cohort for `round`: the ascending
+    /// list of selected client ids.
     fn select_cohort(&self, round: usize) -> Vec<usize> {
         let total = self.clients.len();
         let cohort = ((self.config.participation.clamp(0.0, 1.0) * total as f64).ceil() as usize)
             .clamp(1, total);
         let first = (round * cohort) % total;
-        // A mask keeps selection O(total) instead of the old
-        // O(cohort * total) `selected.contains` scan per client.
-        let mut mask = vec![false; total];
-        for i in 0..cohort {
-            mask[(first + i) % total] = true;
-        }
-        (0..total).filter(|&id| mask[id]).collect()
+        // Client `id` is in the window when its wrapping offset past
+        // `first` is below the cohort size.
+        (0..total).filter(|&id| (id + total - first) % total < cohort).collect()
     }
 
     /// Deterministic uniform coin in `[0, 1)` for transit-loss decisions
@@ -345,17 +354,12 @@ impl RoundEngine {
         self.broadcast_buf = payload.bytes;
         drop(broadcast_span);
 
-        // Local work runs in parallel threads (clients own disjoint
-        // state), each through the shared per-client step; wall time
-        // is measured per client and later scaled by the link's
-        // straggler factor on the virtual clock.
-        let mask = {
-            let mut mask = vec![false; self.clients.len()];
-            for &id in &selected {
-                mask[id] = true;
-            }
-            mask
-        };
+        // Local work runs on the engine's bounded pool (clients own
+        // disjoint state), each through the shared per-client step;
+        // wall time is measured per client and later scaled by the
+        // link's straggler factor on the virtual clock. The pool hands
+        // out one slot per selected client and returns results in
+        // ascending client order at any width.
         let global: &StateDict = decoded_global.as_ref().unwrap_or(&self.global);
         let train_span = self.telemetry.span_with(
             "engine.train",
@@ -369,34 +373,31 @@ impl RoundEngine {
             codecs: &self.uplink,
         };
         let topology = self.topology.as_ref();
-        let mut outcomes: Vec<ClientUpload> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .clients
-                .iter_mut()
-                .zip(self.residuals.iter_mut())
-                .enumerate()
-                .filter(|(id, _)| mask[*id])
-                .map(|(id, (client, residual))| {
-                    let step = &step;
-                    scope.spawn(move || {
-                        // Eqn 1 prices this client on its virtual link.
-                        let link = topology.map(|t| t.link(id));
-                        let link = LinkEstimate {
-                            bandwidth_bps: link.map(|l| l.bandwidth_bps),
-                            compute_slowdown: link.map_or(1.0, |l| l.compute_slowdown),
-                        };
-                        step.run(client, global, residual, link)
-                            .expect("global dict matches client model")
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("client thread panicked")).collect()
+        let mut cohort = selected.iter().peekable();
+        let slots: Vec<Mutex<(&mut Client, &mut StateDict)>> = self
+            .clients
+            .iter_mut()
+            .zip(self.residuals.iter_mut())
+            .enumerate()
+            .filter(|(id, _)| cohort.next_if_eq(&id).is_some())
+            .map(|(_, slot)| Mutex::new(slot))
+            .collect();
+        let mut outcomes: Vec<ClientUpload> = self.pool.run(slots.len(), |task| {
+            let mut slot = slots[task].lock().expect("client slot poisoned");
+            let (client, residual) = &mut *slot;
+            // Eqn 1 prices this client on its virtual link.
+            let link = topology.map(|t| t.link(client.id()));
+            let link = LinkEstimate {
+                bandwidth_bps: link.map(|l| l.bandwidth_bps),
+                compute_slowdown: link.map_or(1.0, |l| l.compute_slowdown),
+            };
+            step.run(client, global, residual, link).expect("global dict matches client model")
         });
         drop(train_span);
 
         // Telemetry lives on `self`, so the per-client `dp.noise` and
-        // uplink `eqn1.decision` events are emitted after the scoped
-        // threads join, in ascending client order.
+        // uplink `eqn1.decision` events are emitted after the pool
+        // joins, in ascending client order.
         for outcome in &outcomes {
             if let Some(dp) = &outcome.dp {
                 emit_dp_noise(&self.telemetry, round, outcome.id, dp);

@@ -3,7 +3,8 @@
 //! Plays the role APPFL + gRPC/MPI play in the paper: a FedAvg server,
 //! local-SGD clients, per-client simulated links, an experiment driver
 //! that produces per-round metrics (accuracy, train time, compression
-//! time, communication time), and weak/strong scaling harnesses.
+//! time, communication time) and hosts N clients on a W-thread pool,
+//! which is how the Fig. 9 weak/strong scaling bench drives it.
 //!
 //! The paper emulates constrained networks by sleeping inside MPI sends;
 //! this crate instead *accounts* transfer time analytically on a
@@ -50,7 +51,6 @@ pub mod link;
 pub mod net;
 mod pipeline;
 pub mod plan;
-pub mod scaling;
 pub mod sweep;
 pub mod transport;
 
@@ -158,12 +158,14 @@ pub struct FlConfig {
     /// (the paper's setting), FedSZ-encoded once per round, or Eqn-1
     /// adaptive with a raw fallback.
     pub downlink: DownlinkMode,
-    /// Worker width for the aggregation hot path (leaf merges and
-    /// partial-sum frame pricing run on a pool this wide). `None`
-    /// resolves to the host's available parallelism at plan time.
-    /// Exact integer accumulation is order-invariant, so the width
-    /// cannot change a single bit of the global model — only how fast
-    /// it is produced. `Some(0)` is rejected by [`FlConfig::plan`].
+    /// Worker width of the round: the engine trains its cohort on a
+    /// pool this wide (N clients on W threads), and the aggregation
+    /// hot path (leaf merges and partial-sum frame pricing) runs on
+    /// another. `None` resolves to the host's available parallelism at
+    /// plan time. Clients own disjoint state and exact integer
+    /// accumulation is order-invariant, so the width cannot change a
+    /// single bit of the global model — only how fast it is produced.
+    /// `Some(0)` is rejected by [`FlConfig::plan`].
     pub worker_threads: Option<usize>,
     /// Differential-privacy stage: clip each client's update delta to
     /// a global L2 norm and add seeded Gaussian/Laplace noise *before*
@@ -543,9 +545,9 @@ impl FlConfigBuilder {
         self
     }
 
-    /// Worker width for the aggregation hot path (0 is rejected at
-    /// plan time; the unset default resolves to the host's available
-    /// parallelism).
+    /// Worker width for cohort training and the aggregation hot path
+    /// (0 is rejected at plan time; the unset default resolves to the
+    /// host's available parallelism).
     pub fn worker_threads(mut self, threads: usize) -> Self {
         self.config.worker_threads = Some(threads);
         self

@@ -242,7 +242,14 @@ pub fn schedule(departures: &[Departure], topology: &Topology) -> Vec<Arrival> {
 pub fn comm_secs(arrivals: &[Arrival], topology: &Topology) -> f64 {
     let delivered = arrivals.iter().filter(|a| !a.dropped);
     match topology {
-        Topology::Shared(_) => delivered.map(|a| a.transfer_secs).sum(),
+        Topology::Shared(_) => {
+            // Summed in client order: the arrival order follows measured
+            // compute times, and a float sum must not move with them.
+            let mut transfers: Vec<(usize, f64)> =
+                delivered.map(|a| (a.client, a.transfer_secs)).collect();
+            transfers.sort_by_key(|&(client, _)| client);
+            transfers.iter().map(|&(_, secs)| secs).sum()
+        }
         Topology::Dedicated(_) | Topology::Tree { .. } => {
             delivered.map(|a| a.transfer_secs).fold(0.0, f64::max)
         }

@@ -392,8 +392,8 @@ pub enum PlanError {
         policy: &'static str,
     },
     /// `worker_threads` explicitly set to zero — a width-0 pool can
-    /// never merge anything (leave it `None` to use the host's
-    /// parallelism).
+    /// never train or merge anything (leave it `None` to use the
+    /// host's parallelism).
     ZeroWorkerThreads,
     /// A [`StagePolicy::TopK`] ratio outside `(0, 1]`.
     BadTopKRatio {
@@ -552,11 +552,11 @@ pub struct RoundPlan {
     pub downlink: StagePolicy,
     /// Policy for the aggregator → aggregator partial-sum leg.
     pub psum: StagePolicy,
-    /// Resolved worker width for the aggregation hot path:
-    /// [`FlConfig::worker_threads`] when set, otherwise the host's
-    /// available parallelism at plan time. Always at least 1. Width is
-    /// execution speed, not semantics — the global model's bits are
-    /// identical at every value.
+    /// Resolved worker width for cohort training and the aggregation
+    /// hot path: [`FlConfig::worker_threads`] when set, otherwise the
+    /// host's available parallelism at plan time. Always at least 1.
+    /// Width is execution speed, not semantics — the global model's
+    /// bits are identical at every value.
     pub worker_threads: usize,
     /// Differential-privacy stage, validated (positive finite clip
     /// norm, non-negative finite multiplier): every executor clips and
@@ -940,6 +940,13 @@ mod tests {
 
     #[test]
     fn link_lists_must_match_the_cohort() {
+        // The shared pipe is validated too: a dead link is a plan error.
+        for bandwidth_bps in [0.0, -1.0, f64::NAN] {
+            let mut config = base();
+            config.bandwidth_bps = Some(bandwidth_bps);
+            assert!(matches!(config.plan().unwrap_err(), PlanError::BadBandwidth(_)));
+        }
+
         let mut config = base();
         config.clients = 3;
         config.links = Some(vec![LinkProfile::default()]);

@@ -222,21 +222,29 @@ impl ErrorBounded for Sz2 {
             return Err(CodecError::Corrupt("invalid block size in header"));
         }
         let packed_len = read_uvarint(bytes, &mut pos)? as usize;
-        let packed = bytes.get(pos..pos + packed_len).ok_or(CodecError::UnexpectedEof)?;
+        let packed_end = pos.checked_add(packed_len).ok_or(CodecError::UnexpectedEof)?;
+        let packed = bytes.get(pos..packed_end).ok_or(CodecError::UnexpectedEof)?;
         let inner = ZstdLike::new().decompress(packed)?;
 
         let mut ipos = 0usize;
         let flag_len = read_uvarint(&inner, &mut ipos)? as usize;
-        let flag_bytes = inner.get(ipos..ipos + flag_len).ok_or(CodecError::UnexpectedEof)?;
-        ipos += flag_len;
+        let flag_end = ipos.checked_add(flag_len).ok_or(CodecError::UnexpectedEof)?;
+        let flag_bytes = inner.get(ipos..flag_end).ok_or(CodecError::UnexpectedEof)?;
+        ipos = flag_end;
         let coeff_len = read_uvarint(&inner, &mut ipos)? as usize;
-        let coeff_bytes = inner.get(ipos..ipos + coeff_len).ok_or(CodecError::UnexpectedEof)?;
-        ipos += coeff_len;
+        let coeff_end = ipos.checked_add(coeff_len).ok_or(CodecError::UnexpectedEof)?;
+        let coeff_bytes = inner.get(ipos..coeff_end).ok_or(CodecError::UnexpectedEof)?;
+        ipos = coeff_end;
         let codes = huffman::decode_block(&inner, &mut ipos)?;
         if codes.len() != n {
             return Err(CodecError::Corrupt("code count mismatch"));
         }
         let n_unpred = read_uvarint(&inner, &mut ipos)? as usize;
+        // Each raw value is 4 bytes; a count the rest of the stream
+        // cannot hold must not size an allocation.
+        if n_unpred > (inner.len() - ipos) / 4 {
+            return Err(CodecError::Corrupt("unpredictable count exceeds stream"));
+        }
         let mut unpredictable = Vec::with_capacity(n_unpred);
         for _ in 0..n_unpred {
             unpredictable.push(read_f32(&inner, &mut ipos)?);
@@ -368,6 +376,57 @@ mod tests {
         let mut stream = codec.compress(&[1.0, 2.0], ErrorBound::Absolute(1e-3)).unwrap();
         stream[0] = LossyKind::Sz3.id();
         assert!(codec.decompress(&stream).is_err());
+    }
+
+    /// The header `compress` writes for `n` values.
+    fn header(n: u64) -> Vec<u8> {
+        let mut out = vec![LossyKind::Sz2.id(), VERSION];
+        write_uvarint(&mut out, n);
+        write_f64(&mut out, 1e-3);
+        write_uvarint(&mut out, BLOCK as u64);
+        out
+    }
+
+    /// An SZ2 stream of `n` values whose inner container, before the
+    /// zstd-like pass, is `inner`.
+    fn crafted(n: u64, inner: &[u8]) -> Vec<u8> {
+        let mut out = header(n);
+        let packed = ZstdLike::new().compress(inner);
+        write_uvarint(&mut out, packed.len() as u64);
+        out.extend_from_slice(&packed);
+        out
+    }
+
+    #[test]
+    fn oversized_packed_length_is_a_typed_error() {
+        let mut stream = header(4);
+        write_uvarint(&mut stream, u64::MAX);
+        assert_eq!(Sz2::new().decompress(&stream), Err(CodecError::UnexpectedEof));
+    }
+
+    #[test]
+    fn oversized_flag_length_is_a_typed_error() {
+        let mut flags = Vec::new();
+        write_uvarint(&mut flags, u64::MAX);
+        assert_eq!(Sz2::new().decompress(&crafted(4, &flags)), Err(CodecError::UnexpectedEof));
+    }
+
+    #[test]
+    fn oversized_coefficient_length_is_a_typed_error() {
+        let mut coeffs = Vec::new();
+        write_uvarint(&mut coeffs, 0);
+        write_uvarint(&mut coeffs, u64::MAX);
+        assert_eq!(Sz2::new().decompress(&crafted(4, &coeffs)), Err(CodecError::UnexpectedEof));
+    }
+
+    #[test]
+    fn oversized_unpredictable_count_is_a_typed_error() {
+        let mut inner = Vec::new();
+        write_uvarint(&mut inner, 0);
+        write_uvarint(&mut inner, 0);
+        inner.extend_from_slice(&huffman::encode_block(&[0, 0, 0, 0]));
+        write_uvarint(&mut inner, u64::MAX);
+        assert!(matches!(Sz2::new().decompress(&crafted(4, &inner)), Err(CodecError::Corrupt(_))));
     }
 
     #[test]

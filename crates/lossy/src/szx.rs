@@ -157,6 +157,18 @@ impl ErrorBounded for Szx {
         if block == 0 {
             return Err(CodecError::Corrupt("invalid block size in header"));
         }
+        // Every chunk costs at least min(33, 6 + 9·len) bits (a constant
+        // mean, or a width plus 9 bits per value), so an `n` the rest of
+        // the stream cannot encode must not size an allocation.
+        let chunk_bits = |len: usize| 33.min(len.saturating_mul(9).saturating_add(6));
+        let min_bits =
+            (n / block).saturating_mul(chunk_bits(block)).saturating_add(match n % block {
+                0 => 0,
+                tail => chunk_bits(tail),
+            });
+        if min_bits > (bytes.len() - pos).saturating_mul(8) {
+            return Err(CodecError::Corrupt("element count exceeds stream"));
+        }
         let mut r = BitReader::new(&bytes[pos..]);
         let mut out = Vec::with_capacity(n);
         while out.len() < n {
@@ -256,6 +268,16 @@ mod tests {
     fn partial_final_block() {
         let data: Vec<f32> = (0..BLOCK + 7).map(|i| i as f32 * 0.01).collect();
         check_bound(&data, 1e-3);
+    }
+
+    #[test]
+    fn element_count_beyond_the_stream_is_a_typed_error() {
+        let mut stream = vec![LossyKind::Szx.id(), VERSION];
+        write_uvarint(&mut stream, u64::MAX);
+        write_f64(&mut stream, 1e-3);
+        write_uvarint(&mut stream, BLOCK as u64);
+        stream.extend_from_slice(&[0xff; 8]);
+        assert!(matches!(Szx::new().decompress(&stream), Err(CodecError::Corrupt(_))));
     }
 
     #[test]

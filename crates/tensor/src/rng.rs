@@ -25,10 +25,19 @@ pub fn normal(rng: &mut StdRng) -> f32 {
 }
 
 /// Laplace(0, b) sample by inverse CDF.
+///
+/// The uniform draw lives on a 2^-24 grid that includes 0.0, where
+/// `1 - 2|u|` is exactly 0 and its log is −inf. Clamping the argument
+/// at the grid step keeps every sample finite (`|x| ≤ 24 ln 2 · b`,
+/// under 17b) and leaves every other draw bit-identical: elsewhere the
+/// argument is a positive multiple of 2^-23.
 pub fn laplace(rng: &mut StdRng, b: f32) -> f32 {
     let u: f32 = rng.gen::<f32>() - 0.5;
-    -b * u.signum() * (1.0 - 2.0 * u.abs()).ln()
+    -b * u.signum() * (1.0 - 2.0 * u.abs()).max(MIN_UNIFORM_STEP).ln()
 }
+
+/// The step of the 24-bit uniform grid `gen::<f32>()` draws from.
+const MIN_UNIFORM_STEP: f32 = 1.0 / (1u32 << 24) as f32;
 
 /// Tensor of N(0, std^2) samples.
 pub fn randn(rng: &mut StdRng, shape: Vec<usize>, std: f32) -> Tensor {
@@ -101,6 +110,23 @@ mod tests {
         // Laplace(0,1) variance is 2.
         let var: f64 = lap.iter().map(|&v| f64::from(v).powi(2)).sum::<f64>() / n as f64;
         assert!((var - 2.0).abs() < 0.15, "var {var}");
+    }
+
+    #[test]
+    fn laplace_stays_finite_when_the_uniform_draw_is_zero() {
+        // Seed 22's 47513th uniform draw is exactly 0.0, the draw whose
+        // inverse CDF is ln(0).
+        let at_zero_draw = || {
+            let mut rng = seeded(22);
+            for _ in 0..47_512 {
+                let _: f32 = rng.gen();
+            }
+            rng
+        };
+        assert_eq!(at_zero_draw().gen::<f32>(), 0.0, "the pinned draw moved");
+        let b = 0.5f32;
+        let x = laplace(&mut at_zero_draw(), b);
+        assert!(x.is_finite() && x.abs() <= 17.0 * b, "sample {x}");
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! Integration tests for the round engine: heterogeneous-link
-//! virtual-time accounting, transit loss, adaptive compression and
-//! buffered-asynchronous aggregation.
+//! virtual-time accounting, transit loss, adaptive compression,
+//! buffered-asynchronous aggregation and the training pool's width.
 
-use fedsz_fl::{AggregationPolicy, Experiment, FlConfig, LinkProfile};
+use fedsz_fl::net::global_checksum;
+use fedsz_fl::{
+    AggregationPolicy, DpMechanism, DpPolicy, Experiment, FlConfig, LinkProfile, StagePolicy,
+};
 
 fn quick_config() -> FlConfig {
     let mut config = FlConfig::smoke_test();
@@ -144,5 +147,42 @@ fn dropped_uploads_are_excluded_but_learning_continues() {
     assert!(drops > 0, "a 50% drop link should lose something over 4 rounds");
     for m in &metrics {
         assert_eq!(m.aggregated_updates + m.dropped_updates, 4, "round {}", m.round);
+    }
+}
+
+#[test]
+fn training_pool_width_moves_no_bit_byte_or_decision() {
+    // Five clients at 80% participation put a rotating cohort of four
+    // (round 1 is clients 4, 0, 1, 2, three of them reusing their
+    // error-feedback residuals) on pools one to three wide, with seeded
+    // Gaussian DP.
+    let run = |threads: usize| {
+        let mut config = FlConfig::smoke_test();
+        config.data.train_per_class = 2;
+        config.data.test_per_class = 1;
+        config.clients = 5;
+        config.participation = 0.8;
+        config.uplink = Some(StagePolicy::TopK { ratio: 0.1, error_feedback: true });
+        config.dp = Some(DpPolicy {
+            clip_norm: 1.0,
+            noise_multiplier: 0.5,
+            mechanism: DpMechanism::Gaussian,
+            seed: 11,
+        });
+        config.worker_threads = Some(threads);
+        let mut exp = Experiment::new(config);
+        (0..2)
+            .map(|round| {
+                let m = exp.run_round(round);
+                let families: Vec<_> =
+                    m.eqn1.iter().map(|d| (d.leg, d.node, d.compressed, d.family)).collect();
+                (global_checksum(exp.global_state()), m.upstream_bytes, m.comm_secs, families)
+            })
+            .collect::<Vec<_>>()
+    };
+    let serial = run(1);
+    assert!(serial.iter().all(|(_, _, _, families)| families.len() == 5), "{serial:?}");
+    for threads in [2, 3] {
+        assert_eq!(run(threads), serial, "pool width {threads}");
     }
 }
